@@ -5,12 +5,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 import numpy as np
 
 from .statevector import (
     CapacityError,
     StateVector,
+    max_qubits,
     random_state,
     state_from_dict,
 )
@@ -36,8 +38,25 @@ class CommandError(Exception):
         self.message = message
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as exit-64 command errors, not argparse's exit 2 (a file error here)."""
+
+    def error(self, message: str) -> NoReturn:
+        raise CommandError(EX_USAGE, f"{message}\n{self.format_usage().rstrip()}")
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qteleport",
         description="Simulate and verify teleportation of n-qubit states.",
     )
@@ -45,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("teleport", help="run one teleportation and emit its trace")
     t.add_argument("--n", type=int, required=True, help="number of qubits to teleport")
-    t.add_argument("--seed", type=int, required=True, help="seed for state sampling and measurement")
+    t.add_argument(
+        "--seed", type=_seed, required=True, help="seed for state sampling and measurement"
+    )
     t.add_argument(
         "--state",
         default="random",
@@ -56,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="cross-check the gate pipeline against the closed forms")
     v.add_argument("--n", type=int, required=True, help="qubits to teleport (1-3 exhaustive, 4-5 sampled)")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--out", help="write output here instead of stdout")
     v.add_argument("--format", choices=("json", "text"), default="text")
 
@@ -68,9 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {"teleport": _cmd_teleport, "verify": _cmd_verify, "circuit": _cmd_circuit}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except CommandError as err:
         print(f"error: {err.message}", file=sys.stderr)
@@ -81,8 +102,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_teleport(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise CommandError(EX_USAGE, f"--n must be >= 1, got {args.n}")
+    _check_register_size(args.n)
     psi = _resolve_state(args.state, args.n, args.seed)
     trace = teleport(psi, args.seed)
     if args.format == "json":
@@ -101,6 +121,7 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if not 1 <= args.n <= 5:
         raise CommandError(EX_USAGE, f"--n must be between 1 and 5, got {args.n}")
+    _check_register_size(args.n)
     trials = 20 if args.n <= 3 else 5
     report = verify_protocol(args.n, trials=trials, seed=args.seed)
     if args.format == "json":
@@ -112,10 +133,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_circuit(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise CommandError(EX_USAGE, f"--n must be >= 1, got {args.n}")
+    _check_register_size(args.n)
     _emit(render_schedule(circuit_schedule(args.n)), args.out)
     return EX_OK
+
+
+def _check_register_size(n: int) -> None:
+    """Reject an n whose 3n-qubit register exceeds the capacity, before any work."""
+    if n < 1:
+        raise CommandError(EX_USAGE, f"--n must be >= 1, got {n}")
+    try:
+        limit = max_qubits()
+    except ValueError as exc:
+        raise CommandError(EX_USAGE, str(exc)) from exc
+    if 3 * n > limit:
+        raise CommandError(
+            EX_USAGE, f"--n {n} needs {3 * n} qubits, exceeding the capacity of {limit}"
+        )
 
 
 def _resolve_state(source: str, n: int, seed: int) -> StateVector:

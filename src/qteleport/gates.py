@@ -141,28 +141,14 @@ class PauliCorrection:
             )
 
 
-def _check_block(state: StateVector, corr: PauliCorrection, base: int) -> None:
-    if base < 1 or base + corr.n - 1 > state.n_qubits:
-        raise ValueError(
-            f"correction block {base}..{base + corr.n - 1} outside 1..{state.n_qubits}"
-        )
-
-
 def apply_pauli_correction(state: StateVector, corr: PauliCorrection, base: int) -> StateVector:
     """Apply (X products)(Z products) on qubits base..base+n-1.
 
     The Z-exponent factors act first, then the X factors; qubit base+m-1
-    carries the m-th exponent bit of each chain.
+    carries the m-th exponent bit of each chain.  Block label b receives
+    (-1)^parity((b XOR x) AND z) times the amplitude at b XOR x.
     """
-    _check_block(state, corr, base)
-    out = state
-    for m in range(1, corr.n + 1):
-        if corr.z_exponents.bit(m):
-            out = apply_gate(out, _Z, base + m - 1)
-    for m in range(1, corr.n + 1):
-        if corr.x_exponents.bit(m):
-            out = apply_gate(out, _X, base + m - 1)
-    return out
+    return _signed_block_permutation(state, corr, base, sign_on_source=True)
 
 
 def apply_pauli_correction_inverse(
@@ -171,17 +157,28 @@ def apply_pauli_correction_inverse(
     """Exact inverse of :func:`apply_pauli_correction`: X factors first, then Z.
 
     Composing the forward operator with this one is the identity including
-    sign, not merely up to a global phase.
+    sign, not merely up to a global phase.  Block label b receives
+    (-1)^parity(b AND z) times the amplitude at b XOR x.
     """
-    _check_block(state, corr, base)
-    out = state
-    for m in range(1, corr.n + 1):
-        if corr.x_exponents.bit(m):
-            out = apply_gate(out, _X, base + m - 1)
-    for m in range(1, corr.n + 1):
-        if corr.z_exponents.bit(m):
-            out = apply_gate(out, _Z, base + m - 1)
-    return out
+    return _signed_block_permutation(state, corr, base, sign_on_source=False)
+
+
+def _signed_block_permutation(
+    state: StateVector, corr: PauliCorrection, base: int, *, sign_on_source: bool
+) -> StateVector:
+    """Both Pauli products: a sign-flipped permutation of the block's labels."""
+    if base < 1 or base + corr.n - 1 > state.n_qubits:
+        raise ValueError(
+            f"correction block {base}..{base + corr.n - 1} outside 1..{state.n_qubits}"
+        )
+    z = corr.z_exponents.value
+    source = np.arange(1 << corr.n) ^ corr.x_exponents.value
+    signed = source if sign_on_source else range(1 << corr.n)
+    negate = np.array([(int(v) & z).bit_count() & 1 for v in signed], dtype=bool)
+    blocks = state.amplitudes.reshape(1 << (base - 1), 1 << corr.n, -1)[:, source, :]
+    # adding 0.0 turns -0.0 into 0.0, so exact zeros print unsigned
+    flipped = np.where(negate[None, :, None], -blocks, blocks) + 0.0
+    return StateVector(state.n_qubits, flipped.reshape(-1))
 
 
 def schedule_line(kind: str, qubits: Sequence[int]) -> str:

@@ -141,17 +141,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 def probabilities_of_subset(state: StateVector, qubits: Sequence[int]) -> dict[BitChain, float]:
     """Born probabilities of every outcome on the given qubits, in ascending
     outcome order.  Bit m of an outcome corresponds to ``qubits[m-1]``."""
-    keep = _validate_qubits(state, qubits)
-    n = state.n_qubits
-    probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
-    others = tuple(ax for ax in range(n) if ax not in set(keep))
-    marginal = probs.sum(axis=others)
-    # summing leaves surviving axes in register order; restore the requested order
-    order = [sorted(keep).index(ax) for ax in keep]
-    marginal = np.transpose(marginal, order).reshape(-1)
-    total = float(marginal.sum())
-    if total < _ZERO_MASS:
-        raise NormalizationError("state carries no probability mass; it was not normalized")
+    marginal = _marginal(state, qubits)
     k = len(qubits)
     return {BitChain(k, v): float(marginal[v]) for v in range(1 << k)}
 
@@ -190,18 +180,13 @@ def measure_subset(
     bit-for-bit given the same seed.
     """
     generator = np.random.default_rng(rng)
-    distribution = probabilities_of_subset(state, qubits)
-    draw = generator.random()
-    cumulative = 0.0
-    chosen = None
-    for bits, prob in distribution.items():
-        cumulative += prob
-        if draw < cumulative:
-            chosen = bits
-            break
-    if chosen is None:  # cumulative fell short of 1 by rounding; take the last live outcome
-        chosen = max((b for b, p in distribution.items() if p > 0.0), key=lambda b: b.value)
-    return project_onto_outcome(state, qubits, chosen)
+    marginal = _marginal(state, qubits)
+    cumulative = np.cumsum(marginal)
+    chosen = int(np.searchsorted(cumulative, generator.random(), side="right"))
+    if chosen == len(marginal):
+        # cumulative fell short of 1 by rounding; take the last live outcome
+        chosen = int(np.flatnonzero(marginal > 0.0)[-1])
+    return project_onto_outcome(state, qubits, BitChain(len(qubits), chosen))
 
 
 def random_state(n_qubits: int, rng: np.random.Generator | int) -> StateVector:
@@ -232,7 +217,7 @@ def state_from_dict(payload: dict) -> StateVector:
         pairs = payload["amplitudes"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"not a state-vector document: missing {exc}") from exc
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"n_qubits must be an integer, got {n!r}")
     amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     return StateVector(n, amps)
@@ -249,6 +234,22 @@ def state_from_json(text: str) -> StateVector:
 def _check_same_size(a: StateVector, b: StateVector, op: str) -> None:
     if a.n_qubits != b.n_qubits:
         raise ValueError(f"{op} needs equal registers, got {a.n_qubits} and {b.n_qubits} qubits")
+
+
+def _marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
+    """Born probabilities of the outcomes on ``qubits`` as a flat array
+    indexed by outcome value; bit m of the value is ``qubits[m-1]``."""
+    keep = _validate_qubits(state, qubits)
+    n = state.n_qubits
+    probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
+    others = tuple(ax for ax in range(n) if ax not in set(keep))
+    marginal = probs.sum(axis=others)
+    # summing leaves surviving axes in register order; restore the requested order
+    order = [sorted(keep).index(ax) for ax in keep]
+    marginal = np.transpose(marginal, order).reshape(-1)
+    if float(marginal.sum()) < _ZERO_MASS:
+        raise NormalizationError("state carries no probability mass; it was not normalized")
+    return marginal
 
 
 def _validate_qubits(state: StateVector, qubits: Sequence[int]) -> list[int]:

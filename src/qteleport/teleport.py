@@ -1,14 +1,14 @@
 """End-to-end teleportation of an n-qubit state.
 
 Register layout, big-endian: qubits 1..n hold the payload, n+1..2n the
-sender's ancillas, 2n+1..3n the receiver's.  A run entangles the 2n
-ancillas into a generalized Bell state, applies the sender's CNOT layer
-(qubit m controls qubit n+m) and Hadamard layer (qubits 1..n), measures
-the first 2n qubits, and finally undoes the outcome-keyed Pauli product on
-the receiver's block.  Of the 2n measured bits, the first n select Z
-exponents and the last n select X exponents; the receiver applies the
-exact inverse of that product, so the corrected state equals the payload
-amplitude by amplitude, not just up to phase.
+sender's ancillas, 2n+1..3n the receiver's.  A run executes
+:func:`circuit_schedule`: it entangles the 2n ancillas into a generalized
+Bell state, applies the sender's CNOT layer (qubit m controls qubit n+m) and
+Hadamard layer (qubits 1..n), measures the first 2n qubits, and finally
+undoes the outcome-keyed Pauli product on the receiver's block.  Of the 2n
+measured bits, the first n select Z exponents and the last n select X
+exponents; the receiver applies the exact inverse of that product, so the
+corrected state equals the payload amplitude by amplitude, not just up to phase.
 
 Every stage re-checks normalization (drift beyond 1e-8 raises) so a buggy
 gate surfaces immediately instead of being hidden by renormalization.
@@ -16,8 +16,10 @@ gate surfaces immediately instead of being hidden by renormalization.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from typing import Iterable
 
 from .bitchain import BitChain
 from .gates import (
@@ -27,7 +29,6 @@ from .gates import (
     apply_pauli_correction,
     apply_pauli_correction_inverse,
     hadamard,
-    hadamard_layer,
     schedule_line,
 )
 from .statevector import (
@@ -44,11 +45,12 @@ from .statevector import (
 
 @dataclass(frozen=True)
 class TeleportTrace:
-    """Full record of one protocol run."""
+    """Full record of one protocol run; only ``post_cnot_state`` is not serialized."""
 
     n: int
     input_state: StateVector
     bell_state: StateVector
+    post_cnot_state: StateVector
     pre_measurement_state: StateVector
     outcome: MeasurementOutcome
     bob_pre_correction: StateVector
@@ -67,35 +69,6 @@ class ScheduleOp:
 
     kind: str
     qubits: tuple[int, ...]
-
-
-def prepare_generalized_bell(n: int) -> StateVector:
-    """Entangle 2n fresh qubits: H on each of the first n, then CNOT from
-    qubit m to qubit n+m.  The result has amplitude 2^(-n/2) exactly on the
-    labels whose two halves agree, 0 elsewhere."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    state = basis_state(BitChain(2 * n, 0))
-    for m in range(1, n + 1):
-        state = apply_gate(state, hadamard(), m)
-    for m in range(1, n + 1):
-        state = apply_cnot(state, m, n + m)
-    return state
-
-
-def alice_cnot_layer(state: StateVector, n: int) -> StateVector:
-    """Sender's CNOTs on the full 3n register: qubit m controls qubit n+m."""
-    _check_register(state, n)
-    out = state
-    for m in range(1, n + 1):
-        out = apply_cnot(out, m, n + m)
-    return out
-
-
-def alice_hadamard_layer(state: StateVector, n: int) -> StateVector:
-    """Sender's Hadamards on qubits 1..n of the full 3n register."""
-    _check_register(state, n)
-    return hadamard_layer(state, range(1, n + 1))
 
 
 def correction_for_outcome(outcome: BitChain) -> PauliCorrection:
@@ -134,15 +107,18 @@ def teleport(
     """
     n = psi.n_qubits
     psi.require_normalized(context="input state")
-    bell = prepare_generalized_bell(n)
+    ops = circuit_schedule(n)
+    # The first 2n ops touch only the ancillas: the Bell pairs exist before
+    # the payload joins, so they run on the 2n-qubit ancilla register.
+    bell = _run_ops(basis_state(BitChain(2 * n, 0)), ops[: 2 * n], shift=n)
     bell.require_normalized(context="entangled ancilla state")
-    full = tensor(psi, bell)
-    full = alice_cnot_layer(full, n)
-    full.require_normalized(context="post-CNOT state")
-    pre_measurement = alice_hadamard_layer(full, n)
+    post_cnot = _run_ops(tensor(psi, bell), ops[2 * n : 3 * n])
+    post_cnot.require_normalized(context="post-CNOT state")
+    pre_measurement = _run_ops(post_cnot, ops[3 * n : 4 * n])
     pre_measurement.require_normalized(context="pre-measurement state")
 
-    alice_qubits = list(range(1, 2 * n + 1))
+    first, last = ops[4 * n].qubits
+    alice_qubits = list(range(first, last + 1))
     if force_outcome is not None:
         outcome, collapsed = project_onto_outcome(pre_measurement, alice_qubits, force_outcome)
     else:
@@ -159,6 +135,7 @@ def teleport(
         n=n,
         input_state=psi,
         bell_state=bell,
+        post_cnot_state=post_cnot,
         pre_measurement_state=pre_measurement,
         outcome=outcome,
         bob_pre_correction=bob_pre,
@@ -200,18 +177,8 @@ def render_schedule(ops: list[ScheduleOp]) -> str:
 def replay_schedule(ops: list[ScheduleOp], psi: StateVector) -> StateVector:
     """Re-run the gate part of a schedule on ``psi`` plus zeroed ancillas,
     stopping at the measurement marker; reproduces the pre-measurement state."""
-    n = psi.n_qubits
-    state = tensor(psi, basis_state(BitChain(2 * n, 0)))
-    for op in ops:
-        if op.kind == "H":
-            state = apply_gate(state, hadamard(), op.qubits[0])
-        elif op.kind == "CNOT":
-            state = apply_cnot(state, op.qubits[0], op.qubits[1])
-        elif op.kind == "M":
-            break
-        else:
-            raise ValueError(f"cannot replay schedule op {op.kind!r}")
-    return state
+    gates = itertools.takewhile(lambda op: op.kind != "M", ops)
+    return _run_ops(tensor(psi, basis_state(BitChain(2 * psi.n_qubits, 0))), gates)
 
 
 def trace_to_dict(trace: TeleportTrace) -> dict:
@@ -235,11 +202,18 @@ def trace_to_json(trace: TeleportTrace) -> str:
     return json.dumps(trace_to_dict(trace))
 
 
-def _check_register(state: StateVector, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if state.n_qubits != 3 * n:
-        raise ValueError(f"expected a {3 * n}-qubit register, got {state.n_qubits} qubits")
+def _run_ops(state: StateVector, ops: Iterable[ScheduleOp], shift: int = 0) -> StateVector:
+    """Apply H and CNOT schedule ops in order, numbering qubits ``shift``
+    lower than the schedule does; the one place the protocol's gates run."""
+    for op in ops:
+        qubits = [q - shift for q in op.qubits]
+        if op.kind == "H":
+            state = apply_gate(state, hadamard(), *qubits)
+        elif op.kind == "CNOT":
+            state = apply_cnot(state, *qubits)
+        else:
+            raise ValueError(f"cannot run schedule op {op.kind!r}")
+    return state
 
 
 def _receiver_block(collapsed: StateVector, n: int, outcome: BitChain) -> StateVector:

@@ -18,14 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .bitchain import BitChain
-from .statevector import StateVector, basis_state, random_state, tensor
+from .statevector import StateVector, basis_state, random_state
 from .gates import hadamard_closed_form, hadamard_layer
-from .teleport import (
-    alice_cnot_layer,
-    alice_hadamard_layer,
-    prepare_generalized_bell,
-    teleport,
-)
+from .teleport import teleport
 
 PASS_TOLERANCE = 1e-10
 
@@ -179,10 +174,6 @@ def verify_protocol(n: int, trials: int = 20, seed: int = 0) -> VerificationRepo
     rng = np.random.default_rng(seed)
     exhaustive = n <= 3
     dim = 1 << n
-    stages: list[StageCheck] = []
-
-    bell_gate = prepare_generalized_bell(n)
-    stages.append(StageCheck("bell_preparation", 1, _dev(bell_gate, bell_closed_form(n))))
 
     transform_dev = 0.0
     for v in range(dim):
@@ -191,7 +182,6 @@ def verify_protocol(n: int, trials: int = 20, seed: int = 0) -> VerificationRepo
             transform_dev,
             _dev(hadamard_layer(basis_state(label), range(1, n + 1)), hadamard_closed_form(label)),
         )
-    stages.append(StageCheck("hadamard_transform", dim, transform_dev))
 
     if exhaustive:
         basis_values = list(range(dim))
@@ -199,39 +189,21 @@ def verify_protocol(n: int, trials: int = 20, seed: int = 0) -> VerificationRepo
         basis_values = sorted(rng.choice(dim, size=min(4, dim), replace=False).tolist())
     alphas = [_unit_alpha(dim, v) for v in basis_values]
     alphas += [random_state(n, rng).amplitudes for _ in range(trials)]
-
-    cnot_dev = layer_dev = reassembly_dev = fixture_dev = 0.0
-    branch_candidates: list[tuple[np.ndarray, dict[BitChain, StateVector]]] = []
-    for a in alphas:
-        psi = StateVector(n, a)
-        staged = alice_cnot_layer(tensor(psi, bell_gate), n)
-        cnot_dev = max(cnot_dev, _dev(staged, post_cnot_closed_form(a, n)))
-        pre_gate = alice_hadamard_layer(staged, n)
-        pre_oracle = pre_measurement_closed_form(a, n)
-        layer_dev = max(layer_dev, _dev(pre_gate, pre_oracle))
-        branches = outcome_branches(a, n)
-        reassembly_dev = max(reassembly_dev, _dev(reassemble_from_branches(branches, n), pre_oracle))
-        if n == 2:
-            table = two_qubit_table_state(a)
-            fixture_dev = max(fixture_dev, _dev(table, pre_oracle), _dev(table, pre_gate))
-        branch_candidates.append((a, branches))
-    stages.append(StageCheck("cnot_layer", len(alphas), cnot_dev))
-    stages.append(StageCheck("hadamard_layer", len(alphas), layer_dev))
-    stages.append(StageCheck("branch_reassembly", len(alphas), reassembly_dev))
-    if n == 2:
-        stages.append(StageCheck("sixteen_row_fixture", len(TWO_QUBIT_OUTCOME_TABLE), fixture_dev))
-
     if exhaustive:
         outcome_values = list(range(1 << (2 * n)))
     else:
         outcome_values = sorted(
             rng.choice(1 << (2 * n), size=min(32, 1 << (2 * n)), replace=False).tolist()
         )
+
+    bell_oracle = bell_closed_form(n)
+    bell_dev = cnot_dev = layer_dev = reassembly_dev = fixture_dev = 0.0
     uniform_probability = 4.0 ** (-n)
     branches_checked = 0
     branch_dev = 0.0
-    for a, branches in branch_candidates:
+    for a in alphas:
         psi = StateVector(n, a)
+        branches = outcome_branches(a, n)
         for out in outcome_values:
             bits = BitChain(2 * n, out)
             trace = teleport(psi, force_outcome=bits)
@@ -243,6 +215,28 @@ def verify_protocol(n: int, trials: int = 20, seed: int = 0) -> VerificationRepo
                 abs(trace.outcome.probability - uniform_probability),
             )
             branches_checked += 1
+        # The stages before measurement do not depend on the forced outcome,
+        # so the last run's states are the ones the pipeline produced for psi.
+        bell_dev = max(bell_dev, _dev(trace.bell_state, bell_oracle))
+        cnot_dev = max(cnot_dev, _dev(trace.post_cnot_state, post_cnot_closed_form(a, n)))
+        pre_gate = trace.pre_measurement_state
+        pre_oracle = pre_measurement_closed_form(a, n)
+        layer_dev = max(layer_dev, _dev(pre_gate, pre_oracle))
+        reassembled = reassemble_from_branches(branches, n)
+        reassembly_dev = max(reassembly_dev, _dev(reassembled, pre_oracle))
+        if n == 2:
+            table = two_qubit_table_state(a)
+            fixture_dev = max(fixture_dev, _dev(table, pre_oracle), _dev(table, pre_gate))
+
+    stages = [
+        StageCheck("bell_preparation", 1, bell_dev),
+        StageCheck("hadamard_transform", dim, transform_dev),
+        StageCheck("cnot_layer", len(alphas), cnot_dev),
+        StageCheck("hadamard_layer", len(alphas), layer_dev),
+        StageCheck("branch_reassembly", len(alphas), reassembly_dev),
+    ]
+    if n == 2:
+        stages.append(StageCheck("sixteen_row_fixture", len(TWO_QUBIT_OUTCOME_TABLE), fixture_dev))
 
     passed = branch_dev < PASS_TOLERANCE and all(
         s.max_deviation < PASS_TOLERANCE for s in stages

@@ -18,15 +18,8 @@ from qteleport.statevector import (
     basis_state,
     probabilities_of_subset,
     random_state,
-    tensor,
 )
-from qteleport.teleport import (
-    alice_cnot_layer,
-    alice_hadamard_layer,
-    prepare_generalized_bell,
-    teleport,
-    trace_to_json,
-)
+from qteleport.teleport import teleport, trace_to_json
 from qteleport.verify import (
     TWO_QUBIT_OUTCOME_TABLE,
     outcome_branches,
@@ -51,10 +44,7 @@ def _basis_alpha(n, index):
 
 
 def _pre_measurement_via_gates(alpha, n):
-    staged = alice_cnot_layer(
-        tensor(StateVector(n, alpha), prepare_generalized_bell(n)), n
-    )
-    return alice_hadamard_layer(staged, n)
+    return teleport(StateVector(n, alpha), 0).pre_measurement_state
 
 
 def test_criterion_1_exact_teleportation():
@@ -73,7 +63,8 @@ def test_criterion_1_exact_teleportation():
 def test_criterion_2_two_pair_bell_fixture():
     expected = np.zeros(16)
     expected[[0b0000, 0b0101, 0b1010, 0b1111]] = 0.5
-    np.testing.assert_allclose(prepare_generalized_bell(2).amplitudes, expected, atol=1e-12)
+    bell = teleport(basis_state(BitChain(2, 0)), 0).bell_state
+    np.testing.assert_allclose(bell.amplitudes, expected, atol=1e-12)
     _passed(2, "gate-built two-pair resource state matches the quarter-amplitude fixture at 1e-12")
 
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import qteleport.cli as cli
 from qteleport.cli import EX_FAIL, EX_FILE, EX_OK, EX_STATE, EX_USAGE, main
 from qteleport.statevector import random_state, state_to_json
 
@@ -116,10 +117,53 @@ class TestTeleportCommand:
         assert payload["n"] == 1
 
     def test_capacity_override_exits_64(self, capsys, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("random_state called before the capacity check")
+
+        monkeypatch.setattr(cli, "random_state", no_sampling)
         monkeypatch.setenv("QTELEPORT_MAX_QUBITS", "5")
         code, _, err = run_cli(capsys, "teleport", "--n", "2", "--state", "random", "--seed", "1")
         assert code == EX_USAGE
         assert "capacity" in err
+
+    def test_boolean_qubit_count_in_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text('{"n_qubits": true, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}')
+        code, out, _ = run_cli(capsys, "teleport", "--n", "1", "--state", str(path), "--seed", "1")
+        assert code == EX_FILE
+        assert out == ""
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("teleport", "--n", "1", "--state", "random"),
+            ("teleport", "--n", "abc", "--seed", "1"),
+            ("teleport", "--n", "1", "--seed", "-1"),
+            ("verify", "--n", "1", "--seed", "-1"),
+            ("circuit",),
+            (),
+        ],
+        ids=["missing-seed", "non-integer-n", "negative-seed", "verify-negative-seed",
+             "missing-n", "missing-command"],
+    )
+    def test_exits_64(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EX_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "usage: qteleport" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("teleport", "--n", "1", "--seed", "1"), ("verify", "--n", "1"), ("circuit", "--n", "1")],
+    )
+    def test_malformed_capacity_setting_exits_64(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("QTELEPORT_MAX_QUBITS", "many")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EX_USAGE
+        assert out == ""
+        assert "QTELEPORT_MAX_QUBITS" in err
 
 
 class TestVerifyCommand:
@@ -179,6 +223,14 @@ class TestCircuitCommand:
     def test_n_zero_exits_64(self, capsys):
         code, _, _ = run_cli(capsys, "circuit", "--n", "0")
         assert code == EX_USAGE
+
+    def test_capacity_exits_64(self, capsys, monkeypatch):
+        monkeypatch.setenv("QTELEPORT_MAX_QUBITS", "8")
+        assert run_cli(capsys, "circuit", "--n", "2")[0] == EX_OK
+        code, out, err = run_cli(capsys, "circuit", "--n", "3")
+        assert code == EX_USAGE
+        assert out == ""
+        assert "capacity" in err
 
 
 class TestBlackBox:

@@ -229,6 +229,30 @@ class TestPauliCorrection:
             apply_pauli_correction(psi, corr, 2).amplitudes, expected.amplitudes, atol=1e-14
         )
 
+    def test_matches_per_qubit_gate_loop(self):
+        # reference: one apply_gate per set exponent bit, Z factors first
+        # going forward and X factors first going back
+        def gate_loop(state, corr, base, order):
+            for gate, chain in order:
+                for m in range(1, corr.n + 1):
+                    if chain(corr).bit(m):
+                        state = apply_gate(state, gate, base + m - 1)
+            return state
+
+        z_part = (pauli_z(), lambda c: c.z_exponents)
+        x_part = (pauli_x(), lambda c: c.x_exponents)
+        psi = random_state(5, 12)
+        for xv, zv in itertools.product(range(8), repeat=2):
+            corr = PauliCorrection(3, BitChain(3, xv), BitChain(3, zv))
+            np.testing.assert_array_equal(
+                apply_pauli_correction(psi, corr, 2).amplitudes,
+                gate_loop(psi, corr, 2, (z_part, x_part)).amplitudes,
+            )
+            np.testing.assert_array_equal(
+                apply_pauli_correction_inverse(psi, corr, 2).amplitudes,
+                gate_loop(psi, corr, 2, (x_part, z_part)).amplitudes,
+            )
+
     def test_block_range_validation(self):
         psi = random_state(2, 0)
         corr = PauliCorrection(2, BitChain(2, 0), BitChain(2, 0))

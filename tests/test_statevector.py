@@ -225,6 +225,26 @@ class TestMeasurement:
         assert first[0] == second[0]
         np.testing.assert_array_equal(first[1].amplitudes, second[1].amplitudes)
 
+    def test_sampling_matches_cumulative_inversion_loop(self):
+        # reference: walk the outcomes in ascending order until the running
+        # sum of probabilities passes the draw
+        for seed in range(50):
+            state = random_state(4, seed)
+            draw = np.random.default_rng(seed).random()
+            cumulative = 0.0
+            for bits, prob in probabilities_of_subset(state, [3, 1]).items():
+                cumulative += prob
+                if draw < cumulative:
+                    break
+            assert measure_subset(state, [3, 1], seed)[0].bits == bits
+
+    def test_draw_beyond_total_mass_takes_last_live_outcome(self):
+        # total mass 0.51: a draw above it falls past every cumulative sum
+        state = StateVector(2, [math.sqrt(0.5), 0.0, 0.1, 0.0])
+        seed = next(s for s in range(100) if np.random.default_rng(s).random() > 0.51)
+        outcome, _ = measure_subset(state, [1, 2], seed)
+        assert outcome.bits == BitChain(2, 0b10)
+
     def test_zero_mass_projection_rejected(self):
         state = basis_state(BitChain(2, 0b00))
         with pytest.raises(NormalizationError):
@@ -269,6 +289,8 @@ class TestSerialization:
             state_from_json(json.dumps({"amplitudes": [[1.0, 0.0]]}))
         with pytest.raises(ValueError):
             state_from_json(json.dumps({"n_qubits": "two", "amplitudes": [[1, 0], [0, 0]]}))
+        with pytest.raises(ValueError):
+            state_from_json(json.dumps({"n_qubits": True, "amplitudes": [[1, 0], [0, 0]]}))
 
 
 class TestRandomState:

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import math
@@ -16,18 +17,18 @@ from qteleport.statevector import (
 )
 from qteleport.teleport import (
     ScheduleOp,
-    alice_cnot_layer,
-    alice_hadamard_layer,
     branch_state,
     circuit_schedule,
     correction_for_outcome,
-    prepare_generalized_bell,
     render_schedule,
     replay_schedule,
     teleport,
     trace_to_dict,
     trace_to_json,
 )
+
+# the package exports a function named ``teleport``, which shadows the module
+teleport_module = importlib.import_module("qteleport.teleport")
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -47,19 +48,24 @@ def pauli_product_matrix(x_bits, z_bits):
     return x_op @ z_op
 
 
+def bell_state(n):
+    """The entangled ancilla state a run of the pipeline prepared."""
+    return teleport(basis_state(BitChain(n, 0)), 0).bell_state
+
+
 class TestBellPreparation:
     def test_single_pair(self):
         np.testing.assert_allclose(
-            prepare_generalized_bell(1).amplitudes, [SQRT_HALF, 0, 0, SQRT_HALF], atol=1e-15
+            bell_state(1).amplitudes, [SQRT_HALF, 0, 0, SQRT_HALF], atol=1e-15
         )
 
     def test_two_pairs(self):
         expected = np.zeros(16)
         expected[[0b0000, 0b0101, 0b1010, 0b1111]] = 0.25 * 2  # 1/2 each
-        np.testing.assert_allclose(prepare_generalized_bell(2).amplitudes, expected, atol=1e-15)
+        np.testing.assert_allclose(bell_state(2).amplitudes, expected, atol=1e-15)
 
     def test_matched_halves_for_three_pairs(self):
-        state = prepare_generalized_bell(3)
+        state = bell_state(3)
         expected = np.zeros(64)
         for j in range(8):
             expected[(j << 3) | j] = 1.0 / math.sqrt(8.0)
@@ -67,13 +73,13 @@ class TestBellPreparation:
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            prepare_generalized_bell(0)
+            circuit_schedule(0)
 
 
 class TestAliceLayers:
     def test_cnot_layer_single_qubit_case(self):
         a, b = 0.6, 0.8
-        staged = alice_cnot_layer(tensor(StateVector(1, [a, b]), prepare_generalized_bell(1)), 1)
+        staged = teleport(StateVector(1, [a, b]), 0).post_cnot_state
         expected = np.zeros(8)
         expected[[0b000, 0b011]] = a * SQRT_HALF
         expected[[0b110, 0b101]] = b * SQRT_HALF
@@ -81,14 +87,13 @@ class TestAliceLayers:
 
     def test_cnot_layer_identity_on_zero_payload(self):
         for n in (1, 2, 3):
-            full = tensor(basis_state(BitChain(n, 0)), prepare_generalized_bell(n))
-            staged = alice_cnot_layer(full, n)
-            np.testing.assert_array_equal(staged.amplitudes, full.amplitudes)
+            trace = teleport(basis_state(BitChain(n, 0)), 0)
+            full = tensor(trace.input_state, trace.bell_state)
+            np.testing.assert_array_equal(trace.post_cnot_state.amplitudes, full.amplitudes)
 
     def test_hadamard_layer_single_qubit_branches(self):
         a, b = 0.6, 0.8j
-        staged = alice_cnot_layer(tensor(StateVector(1, [a, b]), prepare_generalized_bell(1)), 1)
-        pre = alice_hadamard_layer(staged, 1)
+        pre = teleport(StateVector(1, [a, b]), 0).pre_measurement_state
         expected = np.zeros(8, dtype=complex)
         for outcome, pair in {0b00: (a, b), 0b01: (b, a), 0b10: (a, -b), 0b11: (-b, a)}.items():
             expected[(outcome << 1) | 0] = pair[0] / 2.0
@@ -96,8 +101,7 @@ class TestAliceLayers:
         np.testing.assert_allclose(pre.amplitudes, expected, atol=1e-15)
 
     def test_hadamard_layer_uniform_for_basis_payload(self):
-        full = tensor(basis_state(BitChain(2, 0)), prepare_generalized_bell(2))
-        pre = alice_hadamard_layer(alice_cnot_layer(full, 2), 2)
+        pre = teleport(basis_state(BitChain(2, 0)), 0).pre_measurement_state
         # payload e_0 leaves the first two qubits in the uniform positive superposition
         marginals = probabilities_of_subset(pre, [1, 2])
         for prob in marginals.values():
@@ -105,10 +109,11 @@ class TestAliceLayers:
         assert np.all(pre.amplitudes[np.abs(pre.amplitudes) > 1e-12].real > 0)
 
     def test_register_size_validation(self):
+        # a schedule for more qubits than the register holds is rejected
         with pytest.raises(ValueError):
-            alice_cnot_layer(random_state(4, 0), 1)
+            replay_schedule(circuit_schedule(2), random_state(1, 0))
         with pytest.raises(ValueError):
-            alice_hadamard_layer(random_state(5, 0), 2)
+            replay_schedule(circuit_schedule(3), random_state(2, 0))
 
 
 class TestBranchState:
@@ -277,6 +282,31 @@ class TestSchedule:
     def test_replay_rejects_foreign_ops(self):
         with pytest.raises(ValueError):
             replay_schedule([ScheduleOp("SWAP", (1, 2))], random_state(1, 0))
+
+    def test_teleport_runs_the_schedule(self, monkeypatch):
+        calls = []
+        apply_gate, apply_cnot = teleport_module.apply_gate, teleport_module.apply_cnot
+
+        def recording_gate(state, gate, target):
+            calls.append((gate.label, (target,), state.n_qubits))
+            return apply_gate(state, gate, target)
+
+        def recording_cnot(state, control, target):
+            calls.append(("CNOT", (control, target), state.n_qubits))
+            return apply_cnot(state, control, target)
+
+        monkeypatch.setattr(teleport_module, "apply_gate", recording_gate)
+        monkeypatch.setattr(teleport_module, "apply_cnot", recording_cnot)
+        for n in (1, 2, 3):
+            calls.clear()
+            teleport(random_state(n, n), 0)
+            gate_ops = [op for op in circuit_schedule(n) if op.kind in ("H", "CNOT")]
+            # the Bell pairs are prepared on the 2n-qubit ancilla register
+            expected = [
+                (op.kind, tuple(q - n for q in op.qubits), 2 * n) for op in gate_ops[: 2 * n]
+            ]
+            expected += [(op.kind, op.qubits, 3 * n) for op in gate_ops[2 * n :]]
+            assert calls == expected
 
 
 class TestTraceSerialization:

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import json
 import math
 
@@ -5,12 +7,8 @@ import numpy as np
 import pytest
 
 from qteleport.bitchain import BitChain
-from qteleport.statevector import StateVector, random_state, tensor
-from qteleport.teleport import (
-    alice_cnot_layer,
-    alice_hadamard_layer,
-    prepare_generalized_bell,
-)
+from qteleport.statevector import StateVector, random_state
+from qteleport.teleport import teleport
 from qteleport.gates import hadamard_layer
 from qteleport.verify import (
     TWO_QUBIT_OUTCOME_TABLE,
@@ -24,11 +22,18 @@ from qteleport.verify import (
     verify_protocol,
 )
 
+verify_module = importlib.import_module("qteleport.verify")
+
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 def random_alpha(n, seed):
     return random_state(n, seed).amplitudes
+
+
+def gate_trace(alpha, n):
+    """A pipeline run on the payload; its stage states are the gate route."""
+    return teleport(StateVector(n, alpha), 0)
 
 
 def basis_alpha(n, index):
@@ -52,7 +57,7 @@ class TestClosedForms:
         for n in (1, 2, 3, 4):
             np.testing.assert_allclose(
                 bell_closed_form(n).amplitudes,
-                prepare_generalized_bell(n).amplitudes,
+                gate_trace(basis_alpha(n, 0), n).bell_state.amplitudes,
                 atol=1e-12,
             )
 
@@ -77,9 +82,7 @@ class TestClosedForms:
         for n in (1, 2, 3):
             for seed in range(10):
                 alpha = random_alpha(n, seed)
-                staged = alice_cnot_layer(
-                    tensor(StateVector(n, alpha), prepare_generalized_bell(n)), n
-                )
+                staged = gate_trace(alpha, n).post_cnot_state
                 np.testing.assert_allclose(
                     staged.amplitudes, post_cnot_closed_form(alpha, n).amplitudes, atol=1e-12
                 )
@@ -166,19 +169,21 @@ class TestOutcomeBranches:
     def test_gate_pipeline_matches_oracles_stage_by_stage(self):
         # closed-form chain against the simulator for 100 random inputs
         for n in (1, 2, 3):
-            bell = prepare_generalized_bell(n)
-            np.testing.assert_allclose(
-                bell.amplitudes, bell_closed_form(n).amplitudes, atol=1e-12
-            )
             for seed in range(100):
                 alpha = random_alpha(n, seed)
-                staged = alice_cnot_layer(tensor(StateVector(n, alpha), bell), n)
+                trace = gate_trace(alpha, n)
                 np.testing.assert_allclose(
-                    staged.amplitudes, post_cnot_closed_form(alpha, n).amplitudes, atol=1e-12
+                    trace.bell_state.amplitudes, bell_closed_form(n).amplitudes, atol=1e-12
                 )
-                pre = alice_hadamard_layer(staged, n)
                 np.testing.assert_allclose(
-                    pre.amplitudes, pre_measurement_closed_form(alpha, n).amplitudes, atol=1e-12
+                    trace.post_cnot_state.amplitudes,
+                    post_cnot_closed_form(alpha, n).amplitudes,
+                    atol=1e-12,
+                )
+                np.testing.assert_allclose(
+                    trace.pre_measurement_state.amplitudes,
+                    pre_measurement_closed_form(alpha, n).amplitudes,
+                    atol=1e-12,
                 )
 
 
@@ -202,10 +207,7 @@ class TestSixteenRowTable:
     def test_table_state_matches_gate_route(self):
         for index in range(4):
             alpha = basis_alpha(2, index)
-            staged = alice_cnot_layer(
-                tensor(StateVector(2, alpha), prepare_generalized_bell(2)), 2
-            )
-            pre = alice_hadamard_layer(staged, 2)
+            pre = gate_trace(alpha, 2).pre_measurement_state
             np.testing.assert_allclose(
                 two_qubit_table_state(alpha).amplitudes, pre.amplitudes, atol=1e-13
             )
@@ -243,6 +245,29 @@ class TestVerifyProtocol:
             "hadamard_layer",
             "branch_reassembly",
         }
+
+    @pytest.mark.parametrize(
+        "field, stage",
+        [
+            ("bell_state", "bell_preparation"),
+            ("post_cnot_state", "cnot_layer"),
+            ("pre_measurement_state", "hadamard_layer"),
+        ],
+    )
+    def test_checks_the_states_the_pipeline_produced(self, monkeypatch, field, stage):
+        # a sign error in one traced stage state fails exactly that stage
+        def corrupted_teleport(psi, **kwargs):
+            trace = teleport(psi, **kwargs)
+            state = getattr(trace, field)
+            return dataclasses.replace(
+                trace, **{field: StateVector(state.n_qubits, -state.amplitudes)}
+            )
+
+        monkeypatch.setattr(verify_module, "teleport", corrupted_teleport)
+        report = verify_protocol(1, trials=1, seed=0)
+        assert not report.passed
+        failed = {s.name for s in report.stages_checked if s.max_deviation >= 1e-10}
+        assert failed == {stage}
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
