@@ -10,7 +10,6 @@ when the Hadamard transform acts on basis label ``i``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -27,26 +26,11 @@ class BitChain:
             raise ValueError(f"value {self.value} does not fit in {self.width} bits")
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> BitChain:
-        """Build a chain from bits given most-significant first."""
-        bits = tuple(bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"bits must be 0 or 1, got {bits!r}")
-        value = 0
-        for b in bits:
-            value = (value << 1) | b
-        return cls(len(bits), value)
-
-    @classmethod
     def from_string(cls, text: str) -> BitChain:
         """Parse an ASCII chain such as ``"0101"``."""
         if not text or set(text) - {"0", "1"}:
             raise ValueError(f"not a bit string: {text!r}")
         return cls(len(text), int(text, 2))
-
-    def to_bits(self) -> tuple[int, ...]:
-        """Bits most-significant first; always exactly ``width`` of them."""
-        return tuple((self.value >> (self.width - 1 - i)) & 1 for i in range(self.width))
 
     def bit(self, position: int) -> int:
         """Bit at 1-based ``position``, counted from the most significant."""
@@ -58,31 +42,10 @@ class BitChain:
         return format(self.value, f"0{self.width}b")
 
 
-def _check_widths(a: BitChain, b: BitChain, op: str) -> None:
-    if a.width != b.width:
-        raise ValueError(f"{op} needs equal widths, got {a.width} and {b.width}")
-
-
-def bitwise_and(a: BitChain, b: BitChain) -> BitChain:
-    """Per-position logical AND of two equal-width chains."""
-    _check_widths(a, b, "bitwise_and")
-    return BitChain(a.width, a.value & b.value)
-
-
-def bitwise_xor(a: BitChain, b: BitChain) -> BitChain:
-    """Per-position sum mod 2 of two equal-width chains."""
-    _check_widths(a, b, "bitwise_xor")
-    return BitChain(a.width, a.value ^ b.value)
-
-
-def parity_of_ones(a: BitChain) -> int:
-    """1 if the chain carries an odd number of 1-bits, else 0."""
-    return a.value.bit_count() & 1
-
-
 def iverson_delta(i: BitChain, k: BitChain) -> int:
     """Parity of the 1-bits of ``i AND k`` (0 or 1)."""
-    _check_widths(i, k, "iverson_delta")
+    if i.width != k.width:
+        raise ValueError(f"iverson_delta needs equal widths, got {i.width} and {k.width}")
     return (i.value & k.value).bit_count() & 1
 
 

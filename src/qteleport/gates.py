@@ -1,5 +1,4 @@
-"""Single-qubit gates, CNOT, the multi-qubit Hadamard transform, and
-measured-bit Pauli products.
+"""The Hadamard layer, CNOT, and measured-bit Pauli products.
 
 ``hadamard_closed_form`` builds the transform of a basis state directly
 from the AND-parity sign, without touching a matrix; it is the independent
@@ -10,77 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .bitchain import BitChain, iverson_delta
 from .statevector import StateVector
 
-_UNITARITY_ATOL = 1e-12
-
-
-class Gate2x2:
-    """A 2x2 unitary; construction rejects anything with M M† != I."""
-
-    __slots__ = ("matrix", "label")
-
-    def __init__(self, matrix, label: str = "U") -> None:
-        m = np.array(matrix, dtype=np.complex128)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("gate entries must be finite")
-        deviation = np.max(np.abs(m @ m.conj().T - np.eye(2)))
-        if deviation > _UNITARITY_ATOL:
-            raise ValueError(f"matrix is not unitary (deviation {deviation:.3e})")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "label", label)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("Gate2x2 is immutable")
-
-    def __repr__(self) -> str:
-        return f"Gate2x2({self.label})"
-
-
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-_H = Gate2x2([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], "H")
-_X = Gate2x2([[0.0, 1.0], [1.0, 0.0]], "X")
-_Z = Gate2x2([[1.0, 0.0], [0.0, -1.0]], "Z")
-_I = Gate2x2([[1.0, 0.0], [0.0, 1.0]], "I")
-
-
-def hadamard() -> Gate2x2:
-    """|0> -> (|0>+|1>)/sqrt(2), |1> -> (|0>-|1>)/sqrt(2)."""
-    return _H
-
-
-def pauli_x() -> Gate2x2:
-    """Bit flip: swaps |0> and |1>."""
-    return _X
-
-
-def pauli_z() -> Gate2x2:
-    """Phase flip: negates |1>."""
-    return _Z
-
-
-def identity() -> Gate2x2:
-    return _I
-
-
-def apply_gate(state: StateVector, gate: Gate2x2, target: int) -> StateVector:
-    """Apply a 2x2 gate on the target qubit (1-based), identity elsewhere."""
-    n = state.n_qubits
-    if not 1 <= target <= n:
-        raise ValueError(f"target qubit {target} outside 1..{n}")
-    t = state.amplitudes.reshape((2,) * n)
-    t = np.moveaxis(t, target - 1, 0)
-    t = np.tensordot(gate.matrix, t, axes=([1], [0]))
-    t = np.moveaxis(t, 0, target - 1)
-    return StateVector(n, t.reshape(-1))
+_H = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=np.complex128)
+_H.setflags(write=False)
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
@@ -99,11 +37,14 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
 
 
 def hadamard_layer(state: StateVector, qubits: Iterable[int]) -> StateVector:
-    """Fold a Hadamard over each listed qubit (they commute on distinct qubits)."""
-    out = state
+    """Fold a Hadamard over each listed qubit (1-based; they commute on distinct qubits)."""
+    n = state.n_qubits
+    t = state.amplitudes.reshape((2,) * n)
     for q in qubits:
-        out = apply_gate(out, _H, q)
-    return out
+        if not 1 <= q <= n:
+            raise ValueError(f"target qubit {q} outside 1..{n}")
+        t = np.moveaxis(np.tensordot(_H, np.moveaxis(t, q - 1, 0), axes=([1], [0])), 0, q - 1)
+    return StateVector(n, t)
 
 
 def hadamard_closed_form(i: BitChain) -> StateVector:
@@ -180,16 +121,3 @@ def _signed_block_permutation(
     flipped = np.where(negate[None, :, None], -blocks, blocks) + 0.0
     return StateVector(state.n_qubits, flipped.reshape(-1))
 
-
-def schedule_line(kind: str, qubits: Sequence[int]) -> str:
-    """One line of the text gate format: ``H q3``, ``CNOT q1 q4``, ``M q1..q6``."""
-    if kind in ("H", "X", "Z"):
-        (q,) = qubits
-        return f"{kind} q{q}"
-    if kind == "CNOT":
-        control, target = qubits
-        return f"CNOT q{control} q{target}"
-    if kind == "M":
-        first, last = qubits
-        return f"M q{first}..q{last}"
-    raise ValueError(f"unknown gate kind {kind!r}")

@@ -14,7 +14,6 @@ representable.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -96,9 +95,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, atol: float = 1e-10) -> bool:
-        return abs(self.norm() - 1.0) <= atol
-
     def require_normalized(self, atol: float = 1e-8, context: str = "state") -> None:
         """Raise :class:`NormalizationError` if the norm drifted beyond ``atol``."""
         drift = abs(self.norm() - 1.0)
@@ -124,12 +120,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
             f"tensor product needs {combined} qubits, exceeding the capacity of {max_qubits()}"
         )
     return StateVector(combined, np.kron(a.amplitudes, b.amplitudes))
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """Hermitian inner product, conjugating ``a``."""
-    _check_same_size(a, b, "inner_product")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -221,14 +211,6 @@ def state_from_dict(payload: dict) -> StateVector:
         raise ValueError(f"n_qubits must be an integer, got {n!r}")
     amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     return StateVector(n, amps)
-
-
-def state_to_json(state: StateVector) -> str:
-    return json.dumps(state_to_dict(state))
-
-
-def state_from_json(text: str) -> StateVector:
-    return state_from_dict(json.loads(text))
 
 
 def _check_same_size(a: StateVector, b: StateVector, op: str) -> None:

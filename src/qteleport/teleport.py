@@ -25,11 +25,8 @@ from .bitchain import BitChain
 from .gates import (
     PauliCorrection,
     apply_cnot,
-    apply_gate,
-    apply_pauli_correction,
     apply_pauli_correction_inverse,
-    hadamard,
-    schedule_line,
+    hadamard_layer,
 )
 from .statevector import (
     MeasurementOutcome,
@@ -79,17 +76,6 @@ def correction_for_outcome(outcome: BitChain) -> PauliCorrection:
     z_bits = BitChain(n, outcome.value >> n)
     x_bits = BitChain(n, outcome.value & ((1 << n) - 1))
     return PauliCorrection(n=n, x_exponents=x_bits, z_exponents=z_bits)
-
-
-def branch_state(outcome: MeasurementOutcome | BitChain, psi: StateVector) -> StateVector:
-    """Predicted (uncorrected) receiver state for one measurement outcome:
-    the forward Pauli product keyed by the outcome bits, applied to psi."""
-    bits = outcome.bits if isinstance(outcome, MeasurementOutcome) else outcome
-    if bits.width != 2 * psi.n_qubits:
-        raise ValueError(
-            f"outcome width {bits.width} != 2n for the {psi.n_qubits}-qubit input"
-        )
-    return apply_pauli_correction(psi, correction_for_outcome(bits), base=1)
 
 
 def teleport(
@@ -159,18 +145,25 @@ def circuit_schedule(n: int) -> list[ScheduleOp]:
 
 
 def render_schedule(ops: list[ScheduleOp]) -> str:
-    """Text form, one operation per line; the correction marker becomes a
-    trailing comment naming the operator family."""
+    """Text form, one operation per line: ``H q3``, ``CNOT q1 q4``,
+    ``M q1..q6``; the correction marker becomes a trailing comment naming
+    the operator family."""
     lines = []
     for op in ops:
-        if op.kind == "CORRECT":
-            first, last = op.qubits
-            lines.append(
-                f"# correct q{first}..q{last}: inverse (X products)(Z products) "
-                "keyed by the measured bits"
-            )
-        else:
-            lines.append(schedule_line(op.kind, op.qubits))
+        match op.kind, op.qubits:
+            case "H", (q,):
+                lines.append(f"H q{q}")
+            case "CNOT", (control, target):
+                lines.append(f"CNOT q{control} q{target}")
+            case "M", (first, last):
+                lines.append(f"M q{first}..q{last}")
+            case "CORRECT", (first, last):
+                lines.append(
+                    f"# correct q{first}..q{last}: inverse (X products)(Z products) "
+                    "keyed by the measured bits"
+                )
+            case _:
+                raise ValueError(f"cannot render schedule op {op.kind!r} on {op.qubits}")
     return "\n".join(lines) + "\n"
 
 
@@ -208,7 +201,7 @@ def _run_ops(state: StateVector, ops: Iterable[ScheduleOp], shift: int = 0) -> S
     for op in ops:
         qubits = [q - shift for q in op.qubits]
         if op.kind == "H":
-            state = apply_gate(state, hadamard(), *qubits)
+            state = hadamard_layer(state, qubits)
         elif op.kind == "CNOT":
             state = apply_cnot(state, *qubits)
         else:

@@ -75,8 +75,8 @@ def post_cnot_closed_form(alpha: Sequence[complex] | np.ndarray, n: int) -> Stat
 def pre_measurement_closed_form(alpha: Sequence[complex] | np.ndarray, n: int) -> StateVector:
     """3n-qubit state after the sender's Hadamard layer.
 
-    Index (k, j XOR i, j) accumulates (-1)^parity(i AND k) * alpha[i] / 2^n
-    over i; distinct i can land on the same index, so contributions add.
+    Index (k, j XOR i, j) holds (-1)^parity(i AND k) * alpha[i] / 2^n.  Each
+    index (k, m, j) gets exactly one contribution, from i = m XOR j.
     """
     a = _as_alpha(alpha, n)
     amps = np.zeros(1 << (3 * n), dtype=np.complex128)

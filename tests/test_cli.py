@@ -6,7 +6,7 @@ import pytest
 
 import qteleport.cli as cli
 from qteleport.cli import EX_FAIL, EX_FILE, EX_OK, EX_STATE, EX_USAGE, main
-from qteleport.statevector import random_state, state_to_json
+from qteleport.statevector import random_state, state_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -92,16 +92,31 @@ class TestTeleportCommand:
         code, _, _ = run_cli(capsys, "teleport", "--n", "1", "--state", str(path), "--seed", "1")
         assert code == EX_FILE
 
+    def test_deeply_nested_file_exits_2(self, capsys, tmp_path):
+        # too deep for the JSON reader, which raises RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, _, err = run_cli(capsys, "teleport", "--n", "1", "--state", str(path), "--seed", "1")
+        assert code == EX_FILE
+        assert "not a valid state" in err
+
+    def test_amplitude_too_large_for_a_float_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n_qubits": 1, "amplitudes": [[1%s, 0], [0, 0]]}' % ("0" * 400))
+        code, _, err = run_cli(capsys, "teleport", "--n", "1", "--state", str(path), "--seed", "1")
+        assert code == EX_FILE
+        assert "not a valid state" in err
+
     def test_state_file_round_trip(self, capsys, tmp_path):
         path = tmp_path / "state.json"
-        path.write_text(state_to_json(random_state(2, 17)) + "\n")
+        path.write_text(json.dumps(state_to_dict(random_state(2, 17))) + "\n")
         code, out, _ = run_cli(capsys, "teleport", "--n", "2", "--state", str(path), "--seed", "4")
         assert code == EX_OK
         assert json.loads(out)["fidelity"] == pytest.approx(1.0, abs=1e-10)
 
     def test_file_qubit_mismatch_exits_64(self, capsys, tmp_path):
         path = tmp_path / "state.json"
-        path.write_text(state_to_json(random_state(2, 17)))
+        path.write_text(json.dumps(state_to_dict(random_state(2, 17))))
         code, _, _ = run_cli(capsys, "teleport", "--n", "1", "--state", str(path), "--seed", "4")
         assert code == EX_USAGE
 

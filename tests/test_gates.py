@@ -4,91 +4,108 @@ import math
 import numpy as np
 import pytest
 
+import qteleport.gates as gates_module
 from qteleport.bitchain import BitChain
 from qteleport.gates import (
-    Gate2x2,
     PauliCorrection,
     apply_cnot,
-    apply_gate,
     apply_pauli_correction,
     apply_pauli_correction_inverse,
-    hadamard,
     hadamard_closed_form,
     hadamard_layer,
-    identity,
-    pauli_x,
-    pauli_z,
-    schedule_line,
 )
 from qteleport.statevector import StateVector, basis_state, random_state
+from qteleport.teleport import ScheduleOp, render_schedule
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+H = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def ket(text):
     return basis_state(BitChain.from_string(text))
 
 
+def on_qubit(state, matrix, target):
+    """Reference: a 2x2 matrix on one qubit (1-based), identity elsewhere."""
+    n = state.n_qubits
+    t = np.moveaxis(state.amplitudes.reshape((2,) * n), target - 1, 0)
+    t = np.moveaxis(np.tensordot(matrix, t, axes=([1], [0])), 0, target - 1)
+    return StateVector(n, t.reshape(-1))
+
+
+def pauli(x_bit, z_bit):
+    """One-qubit correction with the given X and Z exponents."""
+    return PauliCorrection(1, BitChain(1, x_bit), BitChain(1, z_bit))
+
+
 class TestGateMatrices:
     def test_hadamard_entries(self):
         # unitarity forces the 1/sqrt(2) prefactor on both columns
-        np.testing.assert_allclose(np.abs(hadamard().matrix), SQRT_HALF, atol=1e-15)
+        np.testing.assert_allclose(np.abs(gates_module._H), SQRT_HALF, atol=1e-15)
+        np.testing.assert_allclose(gates_module._H @ gates_module._H, np.eye(2), atol=1e-15)
 
     def test_hadamard_action(self):
         np.testing.assert_allclose(
-            apply_gate(ket("1"), hadamard(), 1).amplitudes, [SQRT_HALF, -SQRT_HALF], atol=1e-15
+            hadamard_layer(ket("1"), [1]).amplitudes, [SQRT_HALF, -SQRT_HALF], atol=1e-15
         )
         np.testing.assert_allclose(
-            apply_gate(ket("0"), hadamard(), 1).amplitudes, [SQRT_HALF, SQRT_HALF], atol=1e-15
+            hadamard_layer(ket("0"), [1]).amplitudes, [SQRT_HALF, SQRT_HALF], atol=1e-15
         )
 
     def test_x_flips(self):
-        np.testing.assert_array_equal(apply_gate(ket("0"), pauli_x(), 1).amplitudes, [0, 1])
-        np.testing.assert_array_equal(apply_gate(ket("1"), pauli_x(), 1).amplitudes, [1, 0])
+        # the test-local reference and the X-only correction agree
+        for label, flipped in (("0", [0, 1]), ("1", [1, 0])):
+            np.testing.assert_array_equal(on_qubit(ket(label), X, 1).amplitudes, flipped)
+            np.testing.assert_array_equal(
+                apply_pauli_correction(ket(label), pauli(1, 0), 1).amplitudes, flipped
+            )
 
     def test_z_negates_one(self):
-        np.testing.assert_array_equal(apply_gate(ket("1"), pauli_z(), 1).amplitudes, [0, -1])
-        np.testing.assert_array_equal(apply_gate(ket("0"), pauli_z(), 1).amplitudes, [1, 0])
+        for label, signed in (("0", [1, 0]), ("1", [0, -1])):
+            np.testing.assert_array_equal(on_qubit(ket(label), Z, 1).amplitudes, signed)
+            np.testing.assert_array_equal(
+                apply_pauli_correction(ket(label), pauli(0, 1), 1).amplitudes, signed
+            )
 
     def test_identity_is_inert(self):
+        # an empty Hadamard layer leaves the state as it was
         psi = random_state(1, 3)
-        np.testing.assert_array_equal(apply_gate(psi, identity(), 1).amplitudes, psi.amplitudes)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            Gate2x2([[1, 0], [0, 2]])
-        with pytest.raises(ValueError):
-            Gate2x2([[1, 0, 0], [0, 1, 0]])
+        np.testing.assert_array_equal(hadamard_layer(psi, []).amplitudes, psi.amplitudes)
 
     def test_matrix_is_frozen(self):
         with pytest.raises(ValueError):
-            hadamard().matrix[0, 0] = 9.0
+            gates_module._H[0, 0] = 9.0
 
 
 class TestApplyGate:
+    """One gate on one qubit of a larger register: H as a one-qubit
+    Hadamard layer, X and Z as one-qubit Pauli products."""
+
     def test_targets_one_factor(self):
-        plus_on_first = apply_gate(ket("00"), hadamard(), 1)
+        plus_on_first = hadamard_layer(ket("00"), [1])
         np.testing.assert_allclose(plus_on_first.amplitudes, [SQRT_HALF, 0, SQRT_HALF, 0], atol=1e-15)
-        flipped_second = apply_gate(ket("00"), pauli_x(), 2)
+        flipped_second = apply_pauli_correction(ket("00"), pauli(1, 0), 2)
         np.testing.assert_array_equal(flipped_second.amplitudes, [0, 1, 0, 0])
 
     def test_z_on_superposition(self):
-        state = apply_gate(ket("00"), hadamard(), 1)
-        signed = apply_gate(state, pauli_z(), 1)
+        state = hadamard_layer(ket("00"), [1])
+        signed = apply_pauli_correction(state, pauli(0, 1), 1)
         np.testing.assert_allclose(signed.amplitudes, [SQRT_HALF, 0, -SQRT_HALF, 0], atol=1e-15)
 
     def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
-            apply_gate(ket("00"), hadamard(), 0)
-        with pytest.raises(ValueError):
-            apply_gate(ket("00"), hadamard(), 3)
+        for qubits in ([0], [3], [1, 3]):
+            with pytest.raises(ValueError):
+                hadamard_layer(ket("00"), qubits)
 
     def test_norm_preserved_on_random_states(self):
         for seed in range(8):
             state = random_state(4, seed)
-            for gate in (hadamard(), pauli_x(), pauli_z()):
-                for target in range(1, 5):
-                    state = apply_gate(state, gate, target)
+            for target in range(1, 5):
+                state = hadamard_layer(state, [target])
+                state = apply_pauli_correction(state, pauli(1, 1), target)
             assert state.norm() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -145,6 +162,18 @@ class TestHadamardLayer:
         for n in (1, 2, 3, 4):
             result = hadamard_layer(basis_state(BitChain(n, 0)), range(1, n + 1))
             np.testing.assert_allclose(result.amplitudes, 2.0 ** (-n / 2), atol=1e-14)
+
+    def test_matches_per_qubit_reference_bit_for_bit(self):
+        # one H at a time through the reference, in the layer's order
+        for n in range(1, 6):
+            psi = random_state(n, 40 + n)
+            qubits = list(range(n, 0, -1))
+            expected = psi
+            for q in qubits:
+                expected = on_qubit(expected, H, q)
+            np.testing.assert_array_equal(
+                hadamard_layer(psi, qubits).amplitudes, expected.amplitudes
+            )
 
 
 class TestHadamardClosedForm:
@@ -215,32 +244,33 @@ class TestPauliCorrection:
 
     def test_anticommutation_sign(self):
         # Z then X differs from X then Z by a global -1 exactly when both act
+        # (the forward product applies Z first, then X)
         psi = random_state(1, 2)
-        zx = apply_gate(apply_gate(psi, pauli_z(), 1), pauli_x(), 1)
-        xz = apply_gate(apply_gate(psi, pauli_x(), 1), pauli_z(), 1)
+        zx = apply_pauli_correction(psi, pauli(1, 1), 1)
+        xz = on_qubit(on_qubit(psi, X, 1), Z, 1)
         np.testing.assert_allclose(zx.amplitudes, -xz.amplitudes, atol=1e-15)
 
     def test_offset_base(self):
         # correction on qubits 2..3 leaves qubit 1 alone
         psi = random_state(3, 8)
         corr = PauliCorrection(2, BitChain(2, 0b10), BitChain(2, 0b01))
-        expected = apply_gate(apply_gate(psi, pauli_z(), 3), pauli_x(), 2)
+        expected = on_qubit(on_qubit(psi, Z, 3), X, 2)
         np.testing.assert_allclose(
             apply_pauli_correction(psi, corr, 2).amplitudes, expected.amplitudes, atol=1e-14
         )
 
     def test_matches_per_qubit_gate_loop(self):
-        # reference: one apply_gate per set exponent bit, Z factors first
+        # reference: one X or Z matrix per set exponent bit, Z factors first
         # going forward and X factors first going back
         def gate_loop(state, corr, base, order):
-            for gate, chain in order:
+            for matrix, chain in order:
                 for m in range(1, corr.n + 1):
                     if chain(corr).bit(m):
-                        state = apply_gate(state, gate, base + m - 1)
+                        state = on_qubit(state, matrix, base + m - 1)
             return state
 
-        z_part = (pauli_z(), lambda c: c.z_exponents)
-        x_part = (pauli_x(), lambda c: c.x_exponents)
+        z_part = (Z, lambda c: c.z_exponents)
+        x_part = (X, lambda c: c.x_exponents)
         psi = random_state(5, 12)
         for xv, zv in itertools.product(range(8), repeat=2):
             corr = PauliCorrection(3, BitChain(3, xv), BitChain(3, zv))
@@ -264,12 +294,10 @@ class TestPauliCorrection:
 
 class TestScheduleLine:
     def test_grammar(self):
-        assert schedule_line("H", (3,)) == "H q3"
-        assert schedule_line("X", (7,)) == "X q7"
-        assert schedule_line("Z", (2,)) == "Z q2"
-        assert schedule_line("CNOT", (1, 4)) == "CNOT q1 q4"
-        assert schedule_line("M", (1, 6)) == "M q1..q6"
+        ops = [ScheduleOp("H", (3,)), ScheduleOp("CNOT", (1, 4)), ScheduleOp("M", (1, 6))]
+        assert render_schedule(ops) == "H q3\nCNOT q1 q4\nM q1..q6\n"
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            schedule_line("T", (1,))
+        for op in (ScheduleOp("T", (1,)), ScheduleOp("X", (7,)), ScheduleOp("H", (1, 2))):
+            with pytest.raises(ValueError):
+                render_schedule([op])

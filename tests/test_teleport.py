@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qteleport.bitchain import BitChain
+from qteleport.gates import apply_pauli_correction
 from qteleport.statevector import (
     NormalizationError,
     StateVector,
@@ -17,7 +18,6 @@ from qteleport.statevector import (
 )
 from qteleport.teleport import (
     ScheduleOp,
-    branch_state,
     circuit_schedule,
     correction_for_outcome,
     render_schedule,
@@ -46,6 +46,12 @@ def pauli_product_matrix(x_bits, z_bits):
         x_op = np.kron(x_op, X if xb else I2)
         z_op = np.kron(z_op, Z if zb else I2)
     return x_op @ z_op
+
+
+def branch_state(bits, psi):
+    """Predicted (uncorrected) receiver state for outcome ``bits``: the
+    forward Pauli product keyed by the bits, applied to psi."""
+    return apply_pauli_correction(psi, correction_for_outcome(bits), 1)
 
 
 def bell_state(n):
@@ -139,7 +145,7 @@ class TestBranchState:
         psi = random_state(2, 9)
         for bits in itertools.product((0, 1), repeat=4):
             a_, b_, c_, d_ = bits
-            outcome = BitChain.from_bits(bits)
+            outcome = BitChain.from_string("".join(map(str, bits)))
             matrix = pauli_product_matrix(x_bits=(c_, d_), z_bits=(a_, b_))
             np.testing.assert_allclose(
                 branch_state(outcome, psi).amplitudes,
@@ -147,10 +153,6 @@ class TestBranchState:
                 atol=1e-14,
                 err_msg=f"outcome {outcome}",
             )
-
-    def test_width_validation(self):
-        with pytest.raises(ValueError):
-            branch_state(BitChain(3, 0), random_state(2, 0))
 
     def test_correction_split(self):
         corr = correction_for_outcome(BitChain.from_string("1001"))
@@ -285,17 +287,17 @@ class TestSchedule:
 
     def test_teleport_runs_the_schedule(self, monkeypatch):
         calls = []
-        apply_gate, apply_cnot = teleport_module.apply_gate, teleport_module.apply_cnot
+        hadamard_layer, apply_cnot = teleport_module.hadamard_layer, teleport_module.apply_cnot
 
-        def recording_gate(state, gate, target):
-            calls.append((gate.label, (target,), state.n_qubits))
-            return apply_gate(state, gate, target)
+        def recording_layer(state, qubits):
+            calls.append(("H", tuple(qubits), state.n_qubits))
+            return hadamard_layer(state, qubits)
 
         def recording_cnot(state, control, target):
             calls.append(("CNOT", (control, target), state.n_qubits))
             return apply_cnot(state, control, target)
 
-        monkeypatch.setattr(teleport_module, "apply_gate", recording_gate)
+        monkeypatch.setattr(teleport_module, "hadamard_layer", recording_layer)
         monkeypatch.setattr(teleport_module, "apply_cnot", recording_cnot)
         for n in (1, 2, 3):
             calls.clear()

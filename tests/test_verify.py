@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from qteleport.bitchain import BitChain
 from qteleport.statevector import StateVector, random_state
 from qteleport.teleport import teleport
-from qteleport.gates import hadamard_layer
+from qteleport.gates import hadamard_closed_form, hadamard_layer
 from qteleport.verify import (
     TWO_QUBIT_OUTCOME_TABLE,
     bell_closed_form,
@@ -112,6 +113,38 @@ class TestClosedForms:
                 pre_measurement_closed_form(alpha, n).amplitudes,
                 atol=1e-12,
             )
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            bell_closed_form,
+            post_cnot_closed_form,
+            pre_measurement_closed_form,
+            outcome_branches,
+            reassemble_from_branches,
+            two_qubit_table_state,
+            hadamard_closed_form,
+        ],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_oracle_shares_no_code_with_the_simulator(self, oracle):
+        # follows the verify helpers an oracle calls; hadamard_closed_form is
+        # the one oracle that lives in gates
+        simulator = {"qteleport.gates", "qteleport.teleport"}
+        seen, pending = set(), [oracle]
+        while pending:
+            fn = pending.pop()
+            if fn in seen:
+                continue
+            seen.add(fn)
+            for name, value in inspect.getclosurevars(fn).globals.items():
+                if value is hadamard_closed_form:
+                    continue
+                assert getattr(value, "__module__", None) not in simulator, (
+                    f"{fn.__name__} uses {name} from the simulator"
+                )
+                if inspect.isfunction(value) and value.__module__ == verify_module.__name__:
+                    pending.append(value)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
