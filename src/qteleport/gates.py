@@ -29,22 +29,32 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     for q in (control, target):
         if not 1 <= q <= n:
             raise ValueError(f"qubit {q} outside 1..{n}")
-    cmask = 1 << (n - control)
-    tmask = 1 << (n - target)
-    idx = np.arange(1 << n)
-    source = np.where(idx & cmask, idx ^ tmask, idx)
-    return StateVector(n, state.amplitudes[source])
+    source = state.amplitudes.reshape((2,) * n)
+    out = source.copy()
+    # where the control is 1, the target-0 and target-1 halves trade places
+    half_0, half_1 = ([slice(None)] * n for _ in range(2))
+    half_0[control - 1] = half_1[control - 1] = 1
+    half_0[target - 1], half_1[target - 1] = 0, 1
+    out[tuple(half_0)] = source[tuple(half_1)]
+    out[tuple(half_1)] = source[tuple(half_0)]
+    return StateVector._owned(n, out.reshape(-1))
 
 
 def hadamard_layer(state: StateVector, qubits: Iterable[int]) -> StateVector:
-    """Fold a Hadamard over each listed qubit (1-based; they commute on distinct qubits)."""
+    """Fold a Hadamard over each listed qubit (1-based; they commute on distinct qubits).
+
+    An empty layer returns ``state`` itself.
+    """
     n = state.n_qubits
-    t = state.amplitudes.reshape((2,) * n)
+    t = start = state.amplitudes.reshape((2,) * n)
     for q in qubits:
         if not 1 <= q <= n:
             raise ValueError(f"target qubit {q} outside 1..{n}")
         t = np.moveaxis(np.tensordot(_H, np.moveaxis(t, q - 1, 0), axes=([1], [0])), 0, q - 1)
-    return StateVector(n, t)
+    if t is start:
+        return state
+    # tensordot made t, so its one C-order copy (or t itself) belongs to no other state
+    return StateVector._owned(n, t.reshape(-1))
 
 
 def hadamard_closed_form(i: BitChain) -> StateVector:
@@ -119,5 +129,5 @@ def _signed_block_permutation(
     blocks = state.amplitudes.reshape(1 << (base - 1), 1 << corr.n, -1)[:, source, :]
     # adding 0.0 turns -0.0 into 0.0, so exact zeros print unsigned
     flipped = np.where(negate[None, :, None], -blocks, blocks) + 0.0
-    return StateVector(state.n_qubits, flipped.reshape(-1))
+    return StateVector._owned(state.n_qubits, flipped.reshape(-1))
 

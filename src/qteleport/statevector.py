@@ -56,6 +56,13 @@ def max_qubits() -> int:
     return limit
 
 
+def _require_capacity(n_qubits: int) -> None:
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    if n_qubits > max_qubits():
+        raise CapacityError(f"{n_qubits} qubits exceeds the capacity of {max_qubits()}")
+
+
 @dataclass(frozen=True)
 class MeasurementOutcome:
     """Classical bits read off a measured subset, with their Born probability."""
@@ -74,15 +81,27 @@ class StateVector:
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes: Sequence[complex] | np.ndarray) -> None:
-        if n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-        if n_qubits > max_qubits():
-            raise CapacityError(f"{n_qubits} qubits exceeds the capacity of {max_qubits()}")
-        amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
+        self._adopt(n_qubits, np.array(amplitudes, dtype=np.complex128).reshape(-1))
+
+    @classmethod
+    def _owned(cls, n_qubits: int, amps: np.ndarray) -> StateVector:
+        """Wrap a fresh ``complex128`` array a kernel allocated, without copying it.
+
+        The array is frozen in place, so it must not be a view of any other
+        state's buffer.
+        """
+        state = object.__new__(cls)
+        state._adopt(n_qubits, amps)
+        return state
+
+    def _adopt(self, n_qubits: int, amps: np.ndarray) -> None:
+        """Check and freeze ``amps`` and store it; both constructors end here."""
+        _require_capacity(n_qubits)
+        if amps.dtype != np.complex128:
+            raise ValueError(f"amplitudes must be complex128, got {amps.dtype}")
         if amps.shape != (1 << n_qubits,):
-            raise ValueError(
-                f"expected {1 << n_qubits} amplitudes for {n_qubits} qubits, got {amps.shape[0]}"
-            )
+            got = amps.size if amps.ndim == 1 else f"shape {amps.shape}"
+            raise ValueError(f"expected {1 << n_qubits} amplitudes for {n_qubits} qubits, got {got}")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite (no NaN/Inf)")
         amps.setflags(write=False)
@@ -107,9 +126,10 @@ class StateVector:
 
 def basis_state(label: BitChain) -> StateVector:
     """The computational basis state carrying the given label."""
+    _require_capacity(label.width)
     amps = np.zeros(1 << label.width, dtype=np.complex128)
     amps[label.value] = 1.0
-    return StateVector(label.width, amps)
+    return StateVector._owned(label.width, amps)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -119,7 +139,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
         raise CapacityError(
             f"tensor product needs {combined} qubits, exceeding the capacity of {max_qubits()}"
         )
-    return StateVector(combined, np.kron(a.amplitudes, b.amplitudes))
+    return StateVector._owned(combined, np.kron(a.amplitudes, b.amplitudes))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -148,16 +168,17 @@ def project_onto_outcome(
     if bits.width != len(qubits):
         raise ValueError(f"outcome width {bits.width} != {len(qubits)} measured qubits")
     n = state.n_qubits
-    idx = np.arange(1 << n)
-    mask = np.ones(1 << n, dtype=bool)
-    for pos, ax in enumerate(keep):
-        want = bits.bit(pos + 1)
-        mask &= ((idx >> (n - 1 - ax)) & 1) == want
-    prob = float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
+    # fixing each measured axis at its bit leaves the outcome's amplitudes
+    # in ascending index order, the order a boolean mask would give
+    fixed = {ax: bits.bit(pos + 1) for pos, ax in enumerate(keep)}
+    where = tuple(fixed.get(ax, slice(None)) for ax in range(n))
+    selected = state.amplitudes.reshape((2,) * n)[where]
+    prob = float(np.sum(np.abs(selected.reshape(-1)) ** 2))
     if prob < _ZERO_MASS:
         raise NormalizationError(f"outcome {bits} has no probability mass to collapse onto")
-    collapsed = np.where(mask, state.amplitudes, 0.0) / math.sqrt(prob)
-    return MeasurementOutcome(bits, min(prob, 1.0)), StateVector(n, collapsed)
+    collapsed = np.zeros((2,) * n, dtype=np.complex128)
+    collapsed[where] = selected / math.sqrt(prob)
+    return MeasurementOutcome(bits, min(prob, 1.0)), StateVector._owned(n, collapsed.reshape(-1))
 
 
 def measure_subset(
@@ -182,11 +203,12 @@ def measure_subset(
 def random_state(n_qubits: int, rng: np.random.Generator | int) -> StateVector:
     """Haar-adjacent random state: 2^(n+1) independent standard normals form
     the real then imaginary parts, then the vector is normalized."""
+    _require_capacity(n_qubits)
     generator = np.random.default_rng(rng)
     half = 1 << n_qubits
     draws = generator.standard_normal(2 * half)
     amps = draws[:half] + 1j * draws[half:]
-    return StateVector(n_qubits, amps / np.linalg.norm(amps))
+    return StateVector._owned(n_qubits, amps / np.linalg.norm(amps))
 
 
 def state_to_dict(state: StateVector) -> dict:
@@ -196,7 +218,7 @@ def state_to_dict(state: StateVector) -> dict:
     """
     return {
         "n_qubits": state.n_qubits,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
+        "amplitudes": state.amplitudes.view(np.float64).reshape(-1, 2).tolist(),
     }
 
 

@@ -197,15 +197,16 @@ def trace_to_json(trace: TeleportTrace) -> str:
 
 def _run_ops(state: StateVector, ops: Iterable[ScheduleOp], shift: int = 0) -> StateVector:
     """Apply H and CNOT schedule ops in order, numbering qubits ``shift``
-    lower than the schedule does; the one place the protocol's gates run."""
-    for op in ops:
-        qubits = [q - shift for q in op.qubits]
-        if op.kind == "H":
-            state = hadamard_layer(state, qubits)
-        elif op.kind == "CNOT":
-            state = apply_cnot(state, *qubits)
+    lower than the schedule does; the one place the protocol's gates run.
+    Each run of consecutive H ops is one Hadamard layer."""
+    for kind, run in itertools.groupby(ops, key=lambda op: op.kind):
+        if kind == "H":
+            state = hadamard_layer(state, [q - shift for op in run for q in op.qubits])
+        elif kind == "CNOT":
+            for op in run:
+                state = apply_cnot(state, *(q - shift for q in op.qubits))
         else:
-            raise ValueError(f"cannot run schedule op {op.kind!r}")
+            raise ValueError(f"cannot run schedule op {kind!r}")
     return state
 
 

@@ -54,9 +54,8 @@ def bell_closed_form(n: int) -> StateVector:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     amps = np.zeros(1 << (2 * n), dtype=np.complex128)
-    scale = 1.0 / math.sqrt(2.0**n)
-    for j in range(1 << n):
-        amps[(j << n) | j] = scale
+    j = np.arange(1 << n)
+    amps[(j << n) | j] = 1.0 / math.sqrt(2.0**n)
     return StateVector(2 * n, amps)
 
 
@@ -66,9 +65,8 @@ def post_cnot_closed_form(alpha: Sequence[complex] | np.ndarray, n: int) -> Stat
     a = _as_alpha(alpha, n)
     amps = np.zeros(1 << (3 * n), dtype=np.complex128)
     scale = 1.0 / math.sqrt(2.0**n)
-    for i in range(1 << n):
-        for j in range(1 << n):
-            amps[(i << (2 * n)) | ((j ^ i) << n) | j] = a[i] * scale
+    i, j = np.ogrid[: 1 << n, : 1 << n]
+    amps[(i << (2 * n)) | ((j ^ i) << n) | j] = a[i] * scale
     return StateVector(3 * n, amps)
 
 
@@ -81,13 +79,11 @@ def pre_measurement_closed_form(alpha: Sequence[complex] | np.ndarray, n: int) -
     a = _as_alpha(alpha, n)
     amps = np.zeros(1 << (3 * n), dtype=np.complex128)
     scale = 1.0 / (2.0**n)
-    dim = 1 << n
-    for i in range(dim):
-        for k in range(dim):
-            sign = -1.0 if (i & k).bit_count() & 1 else 1.0
-            contribution = sign * a[i] * scale
-            for j in range(dim):
-                amps[(k << (2 * n)) | ((j ^ i) << n) | j] += contribution
+    i, k, j = np.ogrid[: 1 << n, : 1 << n, : 1 << n]
+    sign = np.where(_and_parity(i, k), -1.0, 1.0)
+    contribution = sign * a[i] * scale
+    # adding into zeros stores an exact zero as +0.0, whatever its sign
+    amps[(k << (2 * n)) | ((j ^ i) << n) | j] += contribution
     return StateVector(3 * n, amps)
 
 
@@ -104,17 +100,11 @@ def outcome_branches(
     a = _as_alpha(alpha, n)
     scale = 1.0 / (2.0**n)
     dim = 1 << n
-    branches: dict[BitChain, StateVector] = {}
-    for out in range(1 << (2 * n)):
-        z = out >> n
-        x = out & (dim - 1)
-        amps = np.empty(dim, dtype=np.complex128)
-        for b in range(dim):
-            source = b ^ x
-            sign = -1.0 if (source & z).bit_count() & 1 else 1.0
-            amps[b] = sign * a[source] * scale
-        branches[BitChain(2 * n, out)] = StateVector(n, amps)
-    return branches
+    out, b = np.ogrid[: 1 << (2 * n), :dim]
+    source = b ^ (out & (dim - 1))
+    sign = np.where(_and_parity(source, out >> n), -1.0, 1.0)
+    rows = sign * a[source] * scale
+    return {BitChain(2 * n, v): StateVector(n, row) for v, row in enumerate(rows)}
 
 
 def reassemble_from_branches(
@@ -270,6 +260,16 @@ def report_to_json(report: VerificationReport) -> str:
 def _dev(a: StateVector, b: StateVector) -> float:
     """Maximum absolute amplitude difference; no global-phase alignment."""
     return float(np.max(np.abs(a.amplitudes - b.amplitudes)))
+
+
+def _and_parity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Parity of the 1-bits of ``a AND b``, elementwise over non-negative ints."""
+    v = a & b
+    shift = 1
+    while shift < 64:
+        v = v ^ (v >> shift)
+        shift <<= 1
+    return v & 1
 
 
 def _unit_alpha(dim: int, index: int) -> np.ndarray:

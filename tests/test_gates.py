@@ -36,6 +36,14 @@ def on_qubit(state, matrix, target):
     return StateVector(n, t.reshape(-1))
 
 
+def gathered_cnot(state, control, target):
+    """Reference: CNOT as one index gather over the whole register."""
+    n = state.n_qubits
+    idx = np.arange(1 << n)
+    source = np.where(idx & (1 << (n - control)), idx ^ (1 << (n - target)), idx)
+    return state.amplitudes[source]
+
+
 def pauli(x_bit, z_bit):
     """One-qubit correction with the given X and Z exponents."""
     return PauliCorrection(1, BitChain(1, x_bit), BitChain(1, z_bit))
@@ -73,7 +81,7 @@ class TestGateMatrices:
     def test_identity_is_inert(self):
         # an empty Hadamard layer leaves the state as it was
         psi = random_state(1, 3)
-        np.testing.assert_array_equal(hadamard_layer(psi, []).amplitudes, psi.amplitudes)
+        assert hadamard_layer(psi, []) is psi
 
     def test_matrix_is_frozen(self):
         with pytest.raises(ValueError):
@@ -128,6 +136,21 @@ class TestCnot:
         expected[[0b110, 0b101]] = b * SQRT_HALF
         np.testing.assert_allclose(result.amplitudes, expected, atol=1e-15)
 
+    def test_matches_index_gather_bit_for_bit(self):
+        for n in range(2, 6):
+            state = random_state(n, 40 + n)
+            for control, target in itertools.permutations(range(1, n + 1), 2):
+                result = apply_cnot(state, control, target)
+                expected = gathered_cnot(state, control, target)
+                assert result.amplitudes.tobytes() == expected.tobytes()
+
+    def test_output_is_a_fresh_frozen_buffer(self):
+        state = random_state(3, 5)
+        result = apply_cnot(state, 3, 1)
+        assert not np.shares_memory(result.amplitudes, state.amplitudes)
+        assert not result.amplitudes.flags.writeable
+        assert state.amplitudes.tobytes() == random_state(3, 5).amplitudes.tobytes()
+
     def test_validates_indices(self):
         with pytest.raises(ValueError):
             apply_cnot(ket("00"), 1, 1)
@@ -174,6 +197,13 @@ class TestHadamardLayer:
             np.testing.assert_array_equal(
                 hadamard_layer(psi, qubits).amplitudes, expected.amplitudes
             )
+
+    def test_output_is_a_fresh_frozen_buffer(self):
+        for qubits in ([1], [2], [3, 1]):
+            state = random_state(3, 8)
+            result = hadamard_layer(state, qubits)
+            assert not np.shares_memory(result.amplitudes, state.amplitudes)
+            assert not result.amplitudes.flags.writeable
 
 
 class TestHadamardClosedForm:

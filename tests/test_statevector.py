@@ -24,6 +24,7 @@ from qteleport.statevector import (
     state_to_dict,
     tensor,
 )
+from qteleport.teleport import teleport
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -40,6 +41,21 @@ def n1_pre_measurement(a, b):
         amps[(outcome << 1) | 0] = pair[0] / 2.0
         amps[(outcome << 1) | 1] = pair[1] / 2.0
     return StateVector(3, amps)
+
+
+def masked_projection(state, qubits, bits):
+    """Reference: select the outcome's amplitudes with a boolean index mask;
+    returns the Born probability and the collapsed amplitudes (None if the
+    outcome has no mass)."""
+    n = state.n_qubits
+    idx = np.arange(1 << n)
+    mask = np.ones(1 << n, dtype=bool)
+    for pos, q in enumerate(qubits):
+        mask &= ((idx >> (n - q)) & 1) == bits.bit(pos + 1)
+    prob = float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
+    if prob < 1e-12:
+        return prob, None
+    return prob, np.where(mask, state.amplitudes, 0.0) / math.sqrt(prob)
 
 
 class TestConstruction:
@@ -70,6 +86,51 @@ class TestConstruction:
         assert max_qubits() == 4
         with pytest.raises(CapacityError):
             StateVector(5, np.zeros(32))
+
+    def test_owned_wraps_the_array_without_a_copy(self):
+        amps = np.array([0.6, 0.8j])
+        state = StateVector._owned(1, amps)
+        assert state.amplitudes is amps
+        assert not amps.flags.writeable
+        assert state.n_qubits == 1
+
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            np.zeros(3, dtype=np.complex128),
+            np.zeros((2, 2), dtype=np.complex128),
+            np.array([1.0, 0.0, 0.0, 0.0]),
+            np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex64),
+            np.array([np.nan, 0.0, 0.0, 1.0], dtype=np.complex128),
+            np.array([1.0, np.inf * 1j, 0.0, 0.0], dtype=np.complex128),
+        ],
+        ids=["wrong-length", "wrong-shape", "float64", "complex64", "nan", "inf"],
+    )
+    def test_owned_rejects_bad_arrays(self, amps):
+        with pytest.raises(ValueError):
+            StateVector._owned(2, amps)
+
+    def test_owned_enforces_the_capacity(self, monkeypatch):
+        monkeypatch.setenv("QTELEPORT_MAX_QUBITS", "2")
+        with pytest.raises(CapacityError):
+            StateVector._owned(3, np.zeros(8, dtype=np.complex128))
+        with pytest.raises(ValueError):
+            StateVector._owned(0, np.ones(1, dtype=np.complex128))
+
+    def test_capacity_checked_before_allocating(self, monkeypatch):
+        class NoDraws(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                raise AssertionError("drew normals before the capacity check")
+
+        def no_zeros(*args, **kwargs):
+            raise AssertionError("allocated before the capacity check")
+
+        monkeypatch.setenv("QTELEPORT_MAX_QUBITS", "3")
+        with pytest.raises(CapacityError):
+            random_state(4, NoDraws(np.random.PCG64(0)))
+        monkeypatch.setattr(np, "zeros", no_zeros)
+        with pytest.raises(CapacityError):
+            basis_state(BitChain(4, 0))
 
     def test_capacity_env_validation(self, monkeypatch):
         monkeypatch.setenv("QTELEPORT_MAX_QUBITS", "many")
@@ -236,6 +297,26 @@ class TestMeasurement:
         outcome, _ = measure_subset(state, [1, 2], seed)
         assert outcome.bits == BitChain(2, 0b10)
 
+    def test_projection_matches_mask_reference_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        states = [random_state(n, 60 + n) for n in range(1, 8)]
+        # pipeline states hold exact zeros, so zero signs are compared too
+        states += [teleport(StateVector(1, [0.6, 0.8j]), 0).pre_measurement_state]
+        states += [teleport(StateVector(2, [0, 0.6, 0, 0.8]), 0).pre_measurement_state]
+        for state in states:
+            n = state.n_qubits
+            for _ in range(8):
+                k = int(rng.integers(1, n + 1))
+                qubits = [int(q) for q in rng.permutation(np.arange(1, n + 1))[:k]]
+                bits = BitChain(k, int(rng.integers(1 << k)))
+                prob, expected = masked_projection(state, qubits, bits)
+                if expected is None:
+                    continue
+                outcome, collapsed = project_onto_outcome(state, qubits, bits)
+                assert outcome.probability == min(prob, 1.0)
+                assert collapsed.amplitudes.tobytes() == expected.tobytes()
+                assert not np.shares_memory(collapsed.amplitudes, state.amplitudes)
+
     def test_zero_mass_projection_rejected(self):
         state = basis_state(BitChain(2, 0b00))
         with pytest.raises(NormalizationError):
@@ -266,6 +347,14 @@ class TestSerialization:
         payload = state_to_dict(bell_pair())
         assert payload["n_qubits"] == 2
         assert payload["amplitudes"][0] == [SQRT_HALF, 0.0]
+
+    def test_amplitude_pairs_are_the_floats_of_each_amplitude(self):
+        amps = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), 1 / 3 - 1e-300j, -0.5 + 0.25j])
+        state = StateVector(2, amps)
+        pairs = state_to_dict(state)["amplitudes"]
+        expected = [[float(a.real), float(a.imag)] for a in state.amplitudes]
+        assert all(type(x) is float for pair in pairs for x in pair)
+        assert json.dumps(pairs) == json.dumps(expected)
 
     def test_json_round_trip_is_exact(self):
         state = random_state(4, 99)

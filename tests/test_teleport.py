@@ -304,11 +304,18 @@ class TestSchedule:
             teleport(random_state(n, n), 0)
             gate_ops = [op for op in circuit_schedule(n) if op.kind in ("H", "CNOT")]
             # the Bell pairs are prepared on the 2n-qubit ancilla register
-            expected = [
-                (op.kind, tuple(q - n for q in op.qubits), 2 * n) for op in gate_ops[: 2 * n]
-            ]
-            expected += [(op.kind, op.qubits, 3 * n) for op in gate_ops[2 * n :]]
+            placed = [(op.kind, tuple(q - n for q in op.qubits), 2 * n) for op in gate_ops[: 2 * n]]
+            placed += [(op.kind, op.qubits, 3 * n) for op in gate_ops[2 * n :]]
+            # a run of H ops on one register is one layer call; each CNOT is its own call
+            expected = []
+            for (kind, width), run in itertools.groupby(placed, key=lambda c: (c[0], c[2])):
+                run = list(run)
+                if kind == "H":
+                    expected.append(("H", sum((qubits for _, qubits, _ in run), ()), width))
+                else:
+                    expected += run
             assert calls == expected
+            assert [c[0] for c in calls].count("H") == 2
 
 
 class TestTraceSerialization:

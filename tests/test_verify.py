@@ -43,6 +43,49 @@ def basis_alpha(n, index):
     return a
 
 
+def same_bits(state, reference):
+    return state.amplitudes.tobytes() == reference.tobytes()
+
+
+def loop_bell(n):
+    """Reference: the Bell oracle written as a loop over the matched labels."""
+    amps = np.zeros(1 << (2 * n), dtype=np.complex128)
+    for j in range(1 << n):
+        amps[(j << n) | j] = 1.0 / math.sqrt(2.0**n)
+    return amps
+
+
+def loop_post_cnot(a, n):
+    amps = np.zeros(1 << (3 * n), dtype=np.complex128)
+    scale = 1.0 / math.sqrt(2.0**n)
+    for i in range(1 << n):
+        for j in range(1 << n):
+            amps[(i << (2 * n)) | ((j ^ i) << n) | j] = a[i] * scale
+    return amps
+
+
+def loop_pre_measurement(a, n):
+    amps = np.zeros(1 << (3 * n), dtype=np.complex128)
+    scale = 1.0 / (2.0**n)
+    dim = 1 << n
+    for i in range(dim):
+        for k in range(dim):
+            sign = -1.0 if (i & k).bit_count() & 1 else 1.0
+            contribution = sign * a[i] * scale
+            for j in range(dim):
+                amps[(k << (2 * n)) | ((j ^ i) << n) | j] += contribution
+    return amps
+
+
+def loop_branch(a, n, out):
+    z, x = out >> n, out & ((1 << n) - 1)
+    amps = np.empty(1 << n, dtype=np.complex128)
+    for b in range(1 << n):
+        sign = -1.0 if ((b ^ x) & z).bit_count() & 1 else 1.0
+        amps[b] = sign * a[b ^ x] * (1.0 / (2.0**n))
+    return amps
+
+
 class TestClosedForms:
     def test_bell_single_pair(self):
         np.testing.assert_allclose(
@@ -145,6 +188,28 @@ class TestClosedForms:
                 )
                 if inspect.isfunction(value) and value.__module__ == verify_module.__name__:
                     pending.append(value)
+
+    def test_match_loop_references_bit_for_bit(self):
+        for n in (1, 2, 3):
+            assert bell_closed_form(n).amplitudes.tobytes() == loop_bell(n).tobytes()
+            alphas = [basis_alpha(n, v) for v in range(1 << n)]
+            alphas += [-basis_alpha(n, v) for v in range(1 << n)]
+            alphas += [random_alpha(n, 70 + s) for s in range(4)]
+            if n == 1:
+                alphas += [np.array([0.6, 0.8j]), np.array([-0.6, -0.8j])]
+            for a in alphas:
+                assert same_bits(post_cnot_closed_form(a, n), loop_post_cnot(a, n))
+                assert same_bits(pre_measurement_closed_form(a, n), loop_pre_measurement(a, n))
+                branches = outcome_branches(a, n)
+                assert [bits.value for bits in branches] == list(range(1 << (2 * n)))
+                for bits, branch in branches.items():
+                    assert same_bits(branch, loop_branch(a, n, bits.value))
+
+    def test_and_parity_helper(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.integers(0, 1 << 62, size=(2, 200))
+        expected = [bin(int(x) & int(y)).count("1") & 1 for x, y in zip(a, b)]
+        assert verify_module._and_parity(a, b).tolist() == expected
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
