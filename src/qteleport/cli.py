@@ -17,7 +17,7 @@ from .statevector import (
     state_from_dict,
 )
 from .teleport import circuit_schedule, render_schedule, teleport, trace_to_json
-from .verify import VerificationReport, report_to_json, verify_protocol
+from .verify import PASS_TOLERANCE, VerificationReport, report_to_json, verify_protocol
 
 EX_OK = 0
 EX_FAIL = 1
@@ -175,14 +175,7 @@ def _state_from_literal(text: str, n: int) -> StateVector:
     amps = np.array(values, dtype=np.complex128)
     if not np.all(np.isfinite(amps)):
         raise CommandError(EX_USAGE, "amplitudes must be finite")
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > LITERAL_NORM_ATOL:
-        raise CommandError(
-            EX_STATE, f"input state norm is {norm!r}, off by more than {LITERAL_NORM_ATOL}"
-        )
-    if norm != 1.0:
-        print(f"note: input renormalized (norm was {norm!r})", file=sys.stderr)
-    return StateVector(n, amps / norm)
+    return _renormalized(n, amps, "input state norm is")
 
 
 def _state_from_file(path: str, n: int) -> StateVector:
@@ -199,22 +192,26 @@ def _state_from_file(path: str, n: int) -> StateVector:
         raise CommandError(
             EX_USAGE, f"--n {n} does not match the {state.n_qubits}-qubit state in {path!r}"
         )
-    norm = state.norm()
+    return _renormalized(n, state.amplitudes, f"state in {path!r} has norm")
+
+
+def _renormalized(n: int, amps: np.ndarray, subject: str) -> StateVector:
+    """The given amplitudes divided by their norm, noted on stderr when that
+    changes them; a norm off by more than LITERAL_NORM_ATOL exits 3, its
+    message starting with ``subject``."""
+    norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > LITERAL_NORM_ATOL:
-        raise CommandError(
-            EX_STATE, f"state in {path!r} has norm {norm!r}, off by more than {LITERAL_NORM_ATOL}"
-        )
+        raise CommandError(EX_STATE, f"{subject} {norm!r}, off by more than {LITERAL_NORM_ATOL}")
     if norm != 1.0:
         print(f"note: input renormalized (norm was {norm!r})", file=sys.stderr)
-        return StateVector(n, state.amplitudes / norm)
-    return state
+    return StateVector(n, amps / norm)
 
 
 def _render_report(report: VerificationReport) -> str:
     mode = "exhaustive" if report.n <= 3 else "sampled"
     lines = [f"protocol verification: n={report.n} ({mode})"]
     for stage in report.stages_checked:
-        verdict = "PASS" if stage.max_deviation < 1e-10 else "FAIL"
+        verdict = "PASS" if stage.max_deviation < PASS_TOLERANCE else "FAIL"
         if stage.name == "sixteen_row_fixture":
             done = stage.cases if verdict == "PASS" else 0
             detail = f"fixture rows {done}/{stage.cases}"
@@ -223,7 +220,7 @@ def _render_report(report: VerificationReport) -> str:
         lines.append(
             f"  {verdict}  {stage.name:<20} {detail:<22} max deviation {stage.max_deviation:.3e}"
         )
-    branch_verdict = "PASS" if report.max_branch_deviation < 1e-10 else "FAIL"
+    branch_verdict = "PASS" if report.max_branch_deviation < PASS_TOLERANCE else "FAIL"
     branch_detail = f"{report.branches_checked} checked"
     lines.append(
         f"  {branch_verdict}  {'outcome_branches':<20} {branch_detail:<22} "

@@ -74,10 +74,10 @@ def hadamard_closed_form(i: BitChain) -> StateVector:
 
 @dataclass(frozen=True)
 class PauliCorrection:
-    """Exponent bits for products of X and Z over a block of n qubits.
+    """Exponent bits for products of X and Z over an n-qubit register.
 
-    Bit m of each chain is the exponent on the gate acting on the m-th
-    qubit of the block (M^0 = I, M^1 = M).
+    Bit m of each chain is the exponent on the gate acting on qubit m
+    (M^0 = I, M^1 = M).
     """
 
     n: int
@@ -92,42 +92,38 @@ class PauliCorrection:
             )
 
 
-def apply_pauli_correction(state: StateVector, corr: PauliCorrection, base: int) -> StateVector:
-    """Apply (X products)(Z products) on qubits base..base+n-1.
+def apply_pauli_correction(state: StateVector, corr: PauliCorrection) -> StateVector:
+    """Apply (X products)(Z products) to an n-qubit state, n = ``corr.n``.
 
-    The Z-exponent factors act first, then the X factors; qubit base+m-1
-    carries the m-th exponent bit of each chain.  Block label b receives
+    The Z-exponent factors act first, then the X factors; qubit m carries
+    the m-th exponent bit of each chain.  Label b receives
     (-1)^parity((b XOR x) AND z) times the amplitude at b XOR x.
     """
-    return _signed_block_permutation(state, corr, base, sign_on_source=True)
+    return _signed_permutation(state, corr, sign_on_source=True)
 
 
-def apply_pauli_correction_inverse(
-    state: StateVector, corr: PauliCorrection, base: int
-) -> StateVector:
+def apply_pauli_correction_inverse(state: StateVector, corr: PauliCorrection) -> StateVector:
     """Exact inverse of :func:`apply_pauli_correction`: X factors first, then Z.
 
     Composing the forward operator with this one is the identity including
-    sign, not merely up to a global phase.  Block label b receives
+    sign, not merely up to a global phase.  Label b receives
     (-1)^parity(b AND z) times the amplitude at b XOR x.
     """
-    return _signed_block_permutation(state, corr, base, sign_on_source=False)
+    return _signed_permutation(state, corr, sign_on_source=False)
 
 
-def _signed_block_permutation(
-    state: StateVector, corr: PauliCorrection, base: int, *, sign_on_source: bool
+def _signed_permutation(
+    state: StateVector, corr: PauliCorrection, *, sign_on_source: bool
 ) -> StateVector:
-    """Both Pauli products: a sign-flipped permutation of the block's labels."""
-    if base < 1 or base + corr.n - 1 > state.n_qubits:
+    """Both Pauli products: a sign-flipped permutation of the state's labels."""
+    if corr.n != state.n_qubits:
         raise ValueError(
-            f"correction block {base}..{base + corr.n - 1} outside 1..{state.n_qubits}"
+            f"correction on {corr.n} qubits does not fit a {state.n_qubits}-qubit state"
         )
     z = corr.z_exponents.value
     source = np.arange(1 << corr.n) ^ corr.x_exponents.value
     signed = source if sign_on_source else range(1 << corr.n)
     negate = np.array([(int(v) & z).bit_count() & 1 for v in signed], dtype=bool)
-    blocks = state.amplitudes.reshape(1 << (base - 1), 1 << corr.n, -1)[:, source, :]
+    moved = state.amplitudes[source]
     # adding 0.0 turns -0.0 into 0.0, so exact zeros print unsigned
-    flipped = np.where(negate[None, :, None], -blocks, blocks) + 0.0
-    return StateVector._owned(state.n_qubits, flipped.reshape(-1))
-
+    return StateVector._owned(state.n_qubits, np.where(negate, -moved, moved) + 0.0)

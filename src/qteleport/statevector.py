@@ -5,11 +5,17 @@ index, so ``|i>`` for a chain ``i`` sits at array position ``i.value``.
 Operations return fresh vectors; amplitude arrays are frozen on
 construction, which makes states safe to share across threads.
 
+Measurement acts on the leading qubits 1..k only.  Reshaped to
+(2^k, 2^(n-k)), the state's row r holds the unnormalized state of the n-k
+unmeasured qubits given outcome r: the outcome probabilities are the row
+sums of |amplitude|^2, and collapsing onto r returns that row divided by
+the square root of its probability.
+
 Normalization is deliberately not enforced by the type: protocol stages
 re-check it explicitly (see :meth:`StateVector.require_normalized`) so a
 drifting pipeline fails loudly instead of being silently renormalized, and
-sub-normalized vectors (e.g. unnormalized measurement branches) remain
-representable.
+sub-normalized vectors (e.g. the closed-form outcome branches in
+``qteleport.verify``) remain representable.
 """
 
 from __future__ import annotations
@@ -149,8 +155,8 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 
 def probabilities_of_subset(state: StateVector, qubits: Sequence[int]) -> dict[BitChain, float]:
-    """Born probabilities of every outcome on the given qubits, in ascending
-    outcome order.  Bit m of an outcome corresponds to ``qubits[m-1]``."""
+    """Born probabilities of every outcome on the leading qubits ``1..k``
+    (k <= n), in ascending outcome order; bit m of an outcome is qubit m."""
     marginal = _marginal(state, qubits)
     k = len(qubits)
     return {BitChain(k, v): float(marginal[v]) for v in range(1 << k)}
@@ -159,32 +165,32 @@ def probabilities_of_subset(state: StateVector, qubits: Sequence[int]) -> dict[B
 def project_onto_outcome(
     state: StateVector, qubits: Sequence[int], bits: BitChain
 ) -> tuple[MeasurementOutcome, StateVector]:
-    """Deterministically collapse the given qubits onto ``bits``.
+    """Deterministically collapse the leading qubits ``1..k`` (k < n) onto ``bits``.
 
-    Returns the outcome with its true Born probability and the renormalized
-    conditional state on the full register.
+    The amplitudes carrying that prefix are row ``bits.value`` of the state
+    reshaped to (2^k, 2^(n-k)).  Returns the outcome with its true Born
+    probability and the renormalized state of the n-k unmeasured qubits.
     """
-    keep = _validate_qubits(state, qubits)
-    if bits.width != len(qubits):
-        raise ValueError(f"outcome width {bits.width} != {len(qubits)} measured qubits")
-    n = state.n_qubits
-    # fixing each measured axis at its bit leaves the outcome's amplitudes
-    # in ascending index order, the order a boolean mask would give
-    fixed = {ax: bits.bit(pos + 1) for pos, ax in enumerate(keep)}
-    where = tuple(fixed.get(ax, slice(None)) for ax in range(n))
-    selected = state.amplitudes.reshape((2,) * n)[where]
-    prob = float(np.sum(np.abs(selected.reshape(-1)) ** 2))
+    k = _leading_span(state, qubits)
+    if k == state.n_qubits:
+        raise ValueError(f"collapsing all {k} qubits leaves no unmeasured state to return")
+    if bits.width != k:
+        raise ValueError(f"outcome width {bits.width} != {k} measured qubits")
+    row = state.amplitudes.reshape(1 << k, -1)[bits.value]
+    prob = float(np.sum(np.abs(row) ** 2))
     if prob < _ZERO_MASS:
         raise NormalizationError(f"outcome {bits} has no probability mass to collapse onto")
-    collapsed = np.zeros((2,) * n, dtype=np.complex128)
-    collapsed[where] = selected / math.sqrt(prob)
-    return MeasurementOutcome(bits, min(prob, 1.0)), StateVector._owned(n, collapsed.reshape(-1))
+    return MeasurementOutcome(bits, min(prob, 1.0)), StateVector(
+        state.n_qubits - k, row / math.sqrt(prob)
+    )
 
 
 def measure_subset(
     state: StateVector, qubits: Sequence[int], rng: np.random.Generator | int
 ) -> tuple[MeasurementOutcome, StateVector]:
-    """Measure the given qubits with Born-rule sampling and collapse.
+    """Measure the leading qubits ``1..k`` (k < n) with Born-rule sampling and
+    collapse, returning the state of the unmeasured qubits as
+    :func:`project_onto_outcome` does.
 
     The outcome is drawn by cumulative-probability inversion over outcomes
     in ascending label order from a seeded generator, so runs repeat
@@ -241,28 +247,23 @@ def _check_same_size(a: StateVector, b: StateVector, op: str) -> None:
 
 
 def _marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
-    """Born probabilities of the outcomes on ``qubits`` as a flat array
-    indexed by outcome value; bit m of the value is ``qubits[m-1]``."""
-    keep = _validate_qubits(state, qubits)
-    n = state.n_qubits
-    probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
-    others = tuple(ax for ax in range(n) if ax not in set(keep))
-    marginal = probs.sum(axis=others)
-    # summing leaves surviving axes in register order; restore the requested order
-    order = [sorted(keep).index(ax) for ax in keep]
-    marginal = np.transpose(marginal, order).reshape(-1)
+    """Born probabilities of the outcomes on the leading qubits ``1..k`` as a
+    flat array indexed by outcome value: the row sums of |amplitude|^2 over
+    the state reshaped to (2^k, 2^(n-k))."""
+    k = _leading_span(state, qubits)
+    marginal = (np.abs(state.amplitudes.reshape(1 << k, -1)) ** 2).sum(axis=1)
     if float(marginal.sum()) < _ZERO_MASS:
         raise NormalizationError("state carries no probability mass; it was not normalized")
     return marginal
 
 
-def _validate_qubits(state: StateVector, qubits: Sequence[int]) -> list[int]:
-    """Map 1-based qubit indices to tensor axes, rejecting bad subsets."""
-    if not qubits:
+def _leading_span(state: StateVector, qubits: Sequence[int]) -> int:
+    """Check that ``qubits`` is the leading span ``1..k`` of the register; return k."""
+    k = len(qubits)
+    if k == 0:
         raise ValueError("no qubits selected for measurement")
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"qubit indices must be distinct, got {list(qubits)}")
-    for q in qubits:
-        if not 1 <= q <= state.n_qubits:
-            raise ValueError(f"qubit {q} outside 1..{state.n_qubits}")
-    return [q - 1 for q in qubits]
+    if list(qubits) != list(range(1, k + 1)):
+        raise ValueError(f"only the leading qubits 1..k can be measured, got {list(qubits)}")
+    if k > state.n_qubits:
+        raise ValueError(f"qubit {k} outside 1..{state.n_qubits}")
+    return k

@@ -4,11 +4,13 @@ Register layout, big-endian: qubits 1..n hold the payload, n+1..2n the
 sender's ancillas, 2n+1..3n the receiver's.  A run executes
 :func:`circuit_schedule`: it entangles the 2n ancillas into a generalized
 Bell state, applies the sender's CNOT layer (qubit m controls qubit n+m) and
-Hadamard layer (qubits 1..n), measures the first 2n qubits, and finally
-undoes the outcome-keyed Pauli product on the receiver's block.  Of the 2n
-measured bits, the first n select Z exponents and the last n select X
-exponents; the receiver applies the exact inverse of that product, so the
-corrected state equals the payload amplitude by amplitude, not just up to phase.
+Hadamard layer (qubits 1..n), and measures the first 2n qubits.  Reshaped
+to (4^n, 2^n), the pre-measurement state's row r is the receiver's
+unnormalized state for outcome r, so the measurement hands the receiver
+that row, renormalized.  Of the 2n measured bits, the first n select Z
+exponents and the last n select X exponents; the receiver applies the exact
+inverse of that Pauli product to their n-qubit state, so the corrected
+state equals the payload amplitude by amplitude, not just up to phase.
 
 Every stage re-checks normalization (drift beyond 1e-8 raises) so a buggy
 gate surfaces immediately instead of being hidden by renormalization.
@@ -106,16 +108,13 @@ def teleport(
     first, last = ops[4 * n].qubits
     alice_qubits = list(range(first, last + 1))
     if force_outcome is not None:
-        outcome, collapsed = project_onto_outcome(pre_measurement, alice_qubits, force_outcome)
+        outcome, bob_pre = project_onto_outcome(pre_measurement, alice_qubits, force_outcome)
     else:
         if seed is None:
             raise ValueError("teleport needs a seed unless force_outcome is given")
-        outcome, collapsed = measure_subset(pre_measurement, alice_qubits, seed)
+        outcome, bob_pre = measure_subset(pre_measurement, alice_qubits, seed)
 
-    bob_pre = _receiver_block(collapsed, n, outcome.bits)
-    bob_post = apply_pauli_correction_inverse(
-        bob_pre, correction_for_outcome(outcome.bits), base=1
-    )
+    bob_post = apply_pauli_correction_inverse(bob_pre, correction_for_outcome(outcome.bits))
     bob_post.require_normalized(context="corrected receiver state")
     return TeleportTrace(
         n=n,
@@ -209,10 +208,3 @@ def _run_ops(state: StateVector, ops: Iterable[ScheduleOp], shift: int = 0) -> S
             raise ValueError(f"cannot run schedule op {kind!r}")
     return state
 
-
-def _receiver_block(collapsed: StateVector, n: int, outcome: BitChain) -> StateVector:
-    """Extract the receiver's n-qubit factor after the first 2n qubits
-    collapsed onto ``outcome``; the full state is |outcome> tensor (block)."""
-    start = outcome.value << n
-    block = collapsed.amplitudes[start : start + (1 << n)]
-    return StateVector(n, block)

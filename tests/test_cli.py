@@ -7,6 +7,7 @@ import pytest
 import qteleport.cli as cli
 from qteleport.cli import EX_FAIL, EX_FILE, EX_OK, EX_STATE, EX_USAGE, main
 from qteleport.statevector import random_state, state_to_dict
+from qteleport.verify import PASS_TOLERANCE, StageCheck, VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +115,23 @@ class TestTeleportCommand:
         assert code == EX_OK
         assert json.loads(out)["fidelity"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_unnormalized_file_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n_qubits": 1, "amplitudes": [[0.6, 0.0], [0.8 + 2e-6, 0.0]]}))
+        code, out, err = run_cli(capsys, "teleport", "--n", "1", "--state", str(path), "--seed", "4")
+        assert code == EX_STATE
+        assert out == ""
+        assert err.startswith(f"error: state in {str(path)!r} has norm ")
+        assert err.endswith(", off by more than 1e-06\n")
+
+    def test_slightly_unnormalized_file_is_renormalized(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n_qubits": 1, "amplitudes": [[0.6000001, 0.0], [0.0, 0.8]]}))
+        code, out, err = run_cli(capsys, "teleport", "--n", "1", "--state", str(path), "--seed", "4")
+        assert code == EX_OK
+        assert err.startswith("note: input renormalized (norm was ")
+        assert json.loads(out)["fidelity"] == 1.0
+
     def test_file_qubit_mismatch_exits_64(self, capsys, tmp_path):
         path = tmp_path / "state.json"
         path.write_text(json.dumps(state_to_dict(random_state(2, 17))))
@@ -205,6 +223,17 @@ class TestVerifyCommand:
     def test_n_too_large_exits_64(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--n", "6")
         assert code == EX_USAGE
+
+    def test_deviation_at_the_pass_tolerance_renders_fail(self):
+        # the text verdicts and ``passed`` use the same strict bound
+        stage = StageCheck("hadamard_transform", 4, PASS_TOLERANCE)
+        report = VerificationReport(1, (stage,), 4, PASS_TOLERANCE, passed=False)
+        lines = cli._render_report(report).splitlines()
+        assert lines[1].startswith("  FAIL  hadamard_transform")
+        assert lines[2].startswith("  FAIL  outcome_branches")
+        assert lines[-1] == "overall: FAIL"
+        below = VerificationReport(1, (StageCheck("hadamard_transform", 4, 0.0),), 4, 0.0, True)
+        assert cli._render_report(below).splitlines()[-1] == "overall: PASS"
 
 
 class TestCircuitCommand:

@@ -68,14 +68,14 @@ class TestGateMatrices:
         for label, flipped in (("0", [0, 1]), ("1", [1, 0])):
             np.testing.assert_array_equal(on_qubit(ket(label), X, 1).amplitudes, flipped)
             np.testing.assert_array_equal(
-                apply_pauli_correction(ket(label), pauli(1, 0), 1).amplitudes, flipped
+                apply_pauli_correction(ket(label), pauli(1, 0)).amplitudes, flipped
             )
 
     def test_z_negates_one(self):
         for label, signed in (("0", [1, 0]), ("1", [0, -1])):
             np.testing.assert_array_equal(on_qubit(ket(label), Z, 1).amplitudes, signed)
             np.testing.assert_array_equal(
-                apply_pauli_correction(ket(label), pauli(0, 1), 1).amplitudes, signed
+                apply_pauli_correction(ket(label), pauli(0, 1)).amplitudes, signed
             )
 
     def test_identity_is_inert(self):
@@ -90,17 +90,19 @@ class TestGateMatrices:
 
 class TestApplyGate:
     """One gate on one qubit of a larger register: H as a one-qubit
-    Hadamard layer, X and Z as one-qubit Pauli products."""
+    Hadamard layer, X and Z through the test-local reference or as a Pauli
+    product with one exponent bit set."""
 
     def test_targets_one_factor(self):
         plus_on_first = hadamard_layer(ket("00"), [1])
         np.testing.assert_allclose(plus_on_first.amplitudes, [SQRT_HALF, 0, SQRT_HALF, 0], atol=1e-15)
-        flipped_second = apply_pauli_correction(ket("00"), pauli(1, 0), 2)
+        flipped_second = on_qubit(ket("00"), X, 2)
         np.testing.assert_array_equal(flipped_second.amplitudes, [0, 1, 0, 0])
 
     def test_z_on_superposition(self):
         state = hadamard_layer(ket("00"), [1])
-        signed = apply_pauli_correction(state, pauli(0, 1), 1)
+        z_on_first = PauliCorrection(2, BitChain(2, 0b00), BitChain(2, 0b10))
+        signed = apply_pauli_correction(state, z_on_first)
         np.testing.assert_allclose(signed.amplitudes, [SQRT_HALF, 0, -SQRT_HALF, 0], atol=1e-15)
 
     def test_target_out_of_range(self):
@@ -113,7 +115,7 @@ class TestApplyGate:
             state = random_state(4, seed)
             for target in range(1, 5):
                 state = hadamard_layer(state, [target])
-                state = apply_pauli_correction(state, pauli(1, 1), target)
+                state = on_qubit(state, X @ Z, target)
             assert state.norm() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -237,7 +239,7 @@ class TestPauliCorrection:
         psi = random_state(2, 4)
         corr = PauliCorrection(2, BitChain(2, 0), BitChain(2, 0))
         np.testing.assert_array_equal(
-            apply_pauli_correction(psi, corr, 1).amplitudes, psi.amplitudes
+            apply_pauli_correction(psi, corr).amplitudes, psi.amplitudes
         )
 
     def test_single_x(self):
@@ -246,20 +248,20 @@ class TestPauliCorrection:
         state = StateVector(1, [b, a])
         corr = PauliCorrection(1, BitChain(1, 1), BitChain(1, 0))
         np.testing.assert_allclose(
-            apply_pauli_correction(state, corr, 1).amplitudes, [a, b], atol=1e-15
+            apply_pauli_correction(state, corr).amplitudes, [a, b], atol=1e-15
         )
 
     def test_forward_order_z_acts_first(self):
         # with both exponents set the forward product sends |0> to +|1>
         corr = PauliCorrection(1, BitChain(1, 1), BitChain(1, 1))
-        np.testing.assert_array_equal(apply_pauli_correction(ket("0"), corr, 1).amplitudes, [0, 1])
+        np.testing.assert_array_equal(apply_pauli_correction(ket("0"), corr).amplitudes, [0, 1])
         # and |1> to -|0>
-        np.testing.assert_array_equal(apply_pauli_correction(ket("1"), corr, 1).amplitudes, [-1, 0])
+        np.testing.assert_array_equal(apply_pauli_correction(ket("1"), corr).amplitudes, [-1, 0])
 
     def test_inverse_order_x_acts_first(self):
         corr = PauliCorrection(1, BitChain(1, 1), BitChain(1, 1))
         np.testing.assert_array_equal(
-            apply_pauli_correction_inverse(ket("1"), corr, 1).amplitudes, [1, 0]
+            apply_pauli_correction_inverse(ket("1"), corr).amplitudes, [1, 0]
         )
 
     def test_round_trip_is_exact_identity(self):
@@ -267,59 +269,59 @@ class TestPauliCorrection:
             psi = random_state(3, seed)
             for xv, zv in itertools.product(range(8), repeat=2):
                 corr = PauliCorrection(3, BitChain(3, xv), BitChain(3, zv))
-                back = apply_pauli_correction_inverse(
-                    apply_pauli_correction(psi, corr, 1), corr, 1
-                )
+                back = apply_pauli_correction_inverse(apply_pauli_correction(psi, corr), corr)
                 np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-12)
 
     def test_anticommutation_sign(self):
         # Z then X differs from X then Z by a global -1 exactly when both act
         # (the forward product applies Z first, then X)
         psi = random_state(1, 2)
-        zx = apply_pauli_correction(psi, pauli(1, 1), 1)
+        zx = apply_pauli_correction(psi, pauli(1, 1))
         xz = on_qubit(on_qubit(psi, X, 1), Z, 1)
         np.testing.assert_allclose(zx.amplitudes, -xz.amplitudes, atol=1e-15)
 
     def test_offset_base(self):
-        # correction on qubits 2..3 leaves qubit 1 alone
+        # exponents set only on qubits 2..3 leave qubit 1 alone
         psi = random_state(3, 8)
-        corr = PauliCorrection(2, BitChain(2, 0b10), BitChain(2, 0b01))
+        corr = PauliCorrection(3, BitChain(3, 0b010), BitChain(3, 0b001))
         expected = on_qubit(on_qubit(psi, Z, 3), X, 2)
         np.testing.assert_allclose(
-            apply_pauli_correction(psi, corr, 2).amplitudes, expected.amplitudes, atol=1e-14
+            apply_pauli_correction(psi, corr).amplitudes, expected.amplitudes, atol=1e-14
         )
 
     def test_matches_per_qubit_gate_loop(self):
         # reference: one X or Z matrix per set exponent bit, Z factors first
         # going forward and X factors first going back
-        def gate_loop(state, corr, base, order):
+        def gate_loop(state, corr, order):
             for matrix, chain in order:
                 for m in range(1, corr.n + 1):
                     if chain(corr).bit(m):
-                        state = on_qubit(state, matrix, base + m - 1)
+                        state = on_qubit(state, matrix, m)
             return state
 
         z_part = (Z, lambda c: c.z_exponents)
         x_part = (X, lambda c: c.x_exponents)
-        psi = random_state(5, 12)
+        psi = random_state(3, 12)
         for xv, zv in itertools.product(range(8), repeat=2):
             corr = PauliCorrection(3, BitChain(3, xv), BitChain(3, zv))
             np.testing.assert_array_equal(
-                apply_pauli_correction(psi, corr, 2).amplitudes,
-                gate_loop(psi, corr, 2, (z_part, x_part)).amplitudes,
+                apply_pauli_correction(psi, corr).amplitudes,
+                gate_loop(psi, corr, (z_part, x_part)).amplitudes,
             )
             np.testing.assert_array_equal(
-                apply_pauli_correction_inverse(psi, corr, 2).amplitudes,
-                gate_loop(psi, corr, 2, (x_part, z_part)).amplitudes,
+                apply_pauli_correction_inverse(psi, corr).amplitudes,
+                gate_loop(psi, corr, (x_part, z_part)).amplitudes,
             )
 
     def test_block_range_validation(self):
+        # a correction acts on the whole state: its width must be the state's
         psi = random_state(2, 0)
-        corr = PauliCorrection(2, BitChain(2, 0), BitChain(2, 0))
-        with pytest.raises(ValueError):
-            apply_pauli_correction(psi, corr, 2)
-        with pytest.raises(ValueError):
-            apply_pauli_correction_inverse(psi, corr, 0)
+        for width in (1, 3):
+            corr = PauliCorrection(width, BitChain(width, 0), BitChain(width, 0))
+            with pytest.raises(ValueError):
+                apply_pauli_correction(psi, corr)
+            with pytest.raises(ValueError):
+                apply_pauli_correction_inverse(psi, corr)
 
 
 class TestScheduleLine:

@@ -51,7 +51,7 @@ def pauli_product_matrix(x_bits, z_bits):
 def branch_state(bits, psi):
     """Predicted (uncorrected) receiver state for outcome ``bits``: the
     forward Pauli product keyed by the bits, applied to psi."""
-    return apply_pauli_correction(psi, correction_for_outcome(bits), 1)
+    return apply_pauli_correction(psi, correction_for_outcome(bits))
 
 
 def bell_state(n):
@@ -233,6 +233,20 @@ class TestTeleport:
     def test_rejects_unnormalized_input(self):
         with pytest.raises(NormalizationError):
             teleport(StateVector(1, [1.0, 0.5]), 0)
+
+    def test_receiver_state_is_a_row_of_the_pre_measurement_state(self):
+        # row r of the (4^n, 2^n) reshape, renormalized, is outcome r's receiver state
+        for n in range(1, 6):
+            psi = random_state(n, 30 + n)
+            forced = [BitChain(2 * n, v) for v in (0, (1 << (2 * n)) - 1, 5 % (1 << (2 * n)))]
+            traces = [teleport(psi, force_outcome=bits) for bits in forced]
+            traces += [teleport(psi, seed) for seed in range(3)]
+            for trace in traces:
+                rows = trace.pre_measurement_state.amplitudes.reshape(4**n, 2**n)
+                prob = trace.outcome.probability
+                expected = rows[trace.outcome.bits.value] / math.sqrt(prob)
+                assert trace.bob_pre_correction.n_qubits == n
+                assert trace.bob_pre_correction.amplitudes.tobytes() == expected.tobytes()
 
     def test_forced_outcome_width_checked(self):
         with pytest.raises(ValueError):
