@@ -1,4 +1,8 @@
-"""The Hadamard layer, CNOT, and measured-bit Pauli products.
+"""The Hadamard layer, the CNOT layer, and measured-bit Pauli products.
+
+Each layer kernel applies a set of commuting gates in one call: a CNOT
+layer is a list of (control, target) pairs on distinct qubits, applied as
+one permutation of the amplitudes; a Hadamard layer is one GEMM per qubit.
 
 ``hadamard_closed_form`` builds the transform of a basis state directly
 from the AND-parity sign, without touching a matrix; it is the independent
@@ -7,6 +11,7 @@ twin of ``hadamard_layer`` and the two are cross-checked in the tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -21,40 +26,65 @@ _H = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=np.co
 _H.setflags(write=False)
 
 
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    """Flip the target qubit wherever the control qubit is 1."""
+def apply_cnot(state: StateVector, pairs: Iterable[tuple[int, int]]) -> StateVector:
+    """Apply a layer of commuting CNOTs, each ``(control, target)`` pair 1-based.
+
+    No qubit may appear twice across the pairs, so the gates commute and
+    the layer is one permutation of the amplitudes.  An empty layer
+    returns ``state`` itself.
+    """
     n = state.n_qubits
-    if control == target:
-        raise ValueError(f"control and target must differ, both are {control}")
-    for q in (control, target):
-        if not 1 <= q <= n:
-            raise ValueError(f"qubit {q} outside 1..{n}")
+    pairs = list(pairs)
+    seen: set[int] = set()
+    for control, target in pairs:
+        for q in (control, target):
+            if not 1 <= q <= n:
+                raise ValueError(f"qubit {q} outside 1..{n}")
+            if q in seen:
+                raise ValueError(f"qubit {q} appears twice in the CNOT layer")
+            seen.add(q)
+    if not pairs:
+        return state
     source = state.amplitudes.reshape((2,) * n)
-    out = source.copy()
-    # where the control is 1, the target-0 and target-1 halves trade places
-    half_0, half_1 = ([slice(None)] * n for _ in range(2))
-    half_0[control - 1] = half_1[control - 1] = 1
-    half_0[target - 1], half_1[target - 1] = 0, 1
-    out[tuple(half_0)] = source[tuple(half_1)]
-    out[tuple(half_1)] = source[tuple(half_0)]
+    out = np.empty_like(source)
+    # one slice copy per pattern of control bits: where a control is 1 its
+    # target axis is read reversed, which swaps the target-0 and -1 halves
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        write, read = [slice(None)] * n, [slice(None)] * n
+        for (control, target), bit in zip(pairs, bits):
+            write[control - 1] = read[control - 1] = bit
+            if bit:
+                read[target - 1] = slice(None, None, -1)
+        out[tuple(write)] = source[tuple(read)]
     return StateVector._owned(n, out.reshape(-1))
 
 
 def hadamard_layer(state: StateVector, qubits: Iterable[int]) -> StateVector:
-    """Fold a Hadamard over each listed qubit (1-based; they commute on distinct qubits).
+    """Apply a Hadamard to each listed qubit (1-based; they commute on distinct qubits).
 
     An empty layer returns ``state`` itself.
     """
     n = state.n_qubits
-    t = start = state.amplitudes.reshape((2,) * n)
+    qubits = list(qubits)
     for q in qubits:
         if not 1 <= q <= n:
             raise ValueError(f"target qubit {q} outside 1..{n}")
-        t = np.moveaxis(np.tensordot(_H, np.moveaxis(t, q - 1, 0), axes=([1], [0])), 0, q - 1)
-    if t is start:
+    if not qubits:
         return state
-    # tensordot made t, so its one C-order copy (or t itself) belongs to no other state
-    return StateVector._owned(n, t.reshape(-1))
+    a = state.amplitudes
+    # each H reads one buffer and writes the other; a one-qubit layer needs one
+    buffers = [np.empty_like(a) for _ in range(min(2, len(qubits)))]
+    for step, q in enumerate(qubits):
+        out = buffers[step % 2]
+        if q == n:
+            # (2^(n-1), 2) rows times the symmetric H: a GEMM, like every other q;
+            # H on (2, 1) columns would leave GEMM and round differently
+            np.matmul(a.reshape(-1, 2), _H, out=out.reshape(-1, 2))
+        else:
+            shape = (1 << (q - 1), 2, -1)
+            np.matmul(_H, a.reshape(shape), out=out.reshape(shape))
+        a = out
+    return StateVector._owned(n, a)
 
 
 def hadamard_closed_form(i: BitChain) -> StateVector:

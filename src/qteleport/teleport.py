@@ -4,13 +4,14 @@ Register layout, big-endian: qubits 1..n hold the payload, n+1..2n the
 sender's ancillas, 2n+1..3n the receiver's.  A run executes
 :func:`circuit_schedule`: it entangles the 2n ancillas into a generalized
 Bell state, applies the sender's CNOT layer (qubit m controls qubit n+m) and
-Hadamard layer (qubits 1..n), and measures the first 2n qubits.  Reshaped
-to (4^n, 2^n), the pre-measurement state's row r is the receiver's
-unnormalized state for outcome r, so the measurement hands the receiver
-that row, renormalized.  Of the 2n measured bits, the first n select Z
-exponents and the last n select X exponents; the receiver applies the exact
-inverse of that Pauli product to their n-qubit state, so the corrected
-state equals the payload amplitude by amplitude, not just up to phase.
+Hadamard layer (qubits 1..n), and measures the first 2n qubits.  Each
+layer of commuting gates is one kernel call.  Reshaped to (4^n, 2^n), the
+pre-measurement state's row r is the receiver's unnormalized state for
+outcome r, so the measurement hands the receiver that row, renormalized.
+Of the 2n measured bits, the first n select Z exponents and the last n
+select X exponents; the receiver applies the exact inverse of that Pauli
+product to their n-qubit state, so the corrected state equals the payload
+amplitude by amplitude, not just up to phase.
 
 Every stage re-checks normalization (drift beyond 1e-8 raises) so a buggy
 gate surfaces immediately instead of being hidden by renormalization.
@@ -197,14 +198,21 @@ def trace_to_json(trace: TeleportTrace) -> str:
 def _run_ops(state: StateVector, ops: Iterable[ScheduleOp], shift: int = 0) -> StateVector:
     """Apply H and CNOT schedule ops in order, numbering qubits ``shift``
     lower than the schedule does; the one place the protocol's gates run.
-    Each run of consecutive H ops is one Hadamard layer."""
+    Each layer is one kernel call: a run of consecutive H ops is one
+    Hadamard layer, and a run of CNOT ops is one CNOT layer until a pair
+    touches a qubit the layer already uses, which starts the next."""
     for kind, run in itertools.groupby(ops, key=lambda op: op.kind):
         if kind == "H":
             state = hadamard_layer(state, [q - shift for op in run for q in op.qubits])
         elif kind == "CNOT":
+            layer: list[tuple[int, ...]] = []
             for op in run:
-                state = apply_cnot(state, *(q - shift for q in op.qubits))
+                pair = tuple(q - shift for q in op.qubits)
+                if any(q in used for used in layer for q in pair):
+                    state = apply_cnot(state, layer)
+                    layer = []
+                layer.append(pair)
+            state = apply_cnot(state, layer)
         else:
             raise ValueError(f"cannot run schedule op {kind!r}")
     return state
-

@@ -44,6 +44,10 @@ def gathered_cnot(state, control, target):
     return state.amplitudes[source]
 
 
+def no_allocation(*args, **kwargs):
+    raise AssertionError("the kernel allocated before it validated its qubits")
+
+
 def pauli(x_bit, z_bit):
     """One-qubit correction with the given X and Z exponents."""
     return PauliCorrection(1, BitChain(1, x_bit), BitChain(1, z_bit))
@@ -79,9 +83,10 @@ class TestGateMatrices:
             )
 
     def test_identity_is_inert(self):
-        # an empty Hadamard layer leaves the state as it was
+        # an empty Hadamard or CNOT layer leaves the state as it was
         psi = random_state(1, 3)
         assert hadamard_layer(psi, []) is psi
+        assert apply_cnot(psi, []) is psi
 
     def test_matrix_is_frozen(self):
         with pytest.raises(ValueError):
@@ -105,10 +110,13 @@ class TestApplyGate:
         signed = apply_pauli_correction(state, z_on_first)
         np.testing.assert_allclose(signed.amplitudes, [SQRT_HALF, 0, -SQRT_HALF, 0], atol=1e-15)
 
-    def test_target_out_of_range(self):
-        for qubits in ([0], [3], [1, 3]):
+    def test_target_out_of_range(self, monkeypatch):
+        # every target is checked before the layer allocates its buffers
+        state = random_state(3, 1)
+        monkeypatch.setattr(np, "empty_like", no_allocation)
+        for qubits in ([0], [4], [1, 4], [1, 4, 2]):
             with pytest.raises(ValueError):
-                hadamard_layer(ket("00"), qubits)
+                hadamard_layer(state, qubits)
 
     def test_norm_preserved_on_random_states(self):
         for seed in range(8):
@@ -121,10 +129,10 @@ class TestApplyGate:
 
 class TestCnot:
     def test_control_set(self):
-        np.testing.assert_array_equal(apply_cnot(ket("10"), 1, 2).amplitudes, ket("11").amplitudes)
+        np.testing.assert_array_equal(apply_cnot(ket("10"), [(1, 2)]).amplitudes, ket("11").amplitudes)
 
     def test_control_clear(self):
-        np.testing.assert_array_equal(apply_cnot(ket("00"), 1, 2).amplitudes, ket("00").amplitudes)
+        np.testing.assert_array_equal(apply_cnot(ket("00"), [(1, 2)]).amplitudes, ket("00").amplitudes)
 
     def test_entangles_payload_with_pair(self):
         # CNOT(1->2) on (a|0>+b|1>)(|00>+|11>)/sqrt(2): the b-terms flip qubit 2
@@ -132,7 +140,7 @@ class TestCnot:
         amps = np.zeros(8)
         amps[[0b000, 0b011]] = a * SQRT_HALF
         amps[[0b100, 0b111]] = b * SQRT_HALF
-        result = apply_cnot(StateVector(3, amps), 1, 2)
+        result = apply_cnot(StateVector(3, amps), [(1, 2)])
         expected = np.zeros(8)
         expected[[0b000, 0b011]] = a * SQRT_HALF
         expected[[0b110, 0b101]] = b * SQRT_HALF
@@ -142,24 +150,48 @@ class TestCnot:
         for n in range(2, 6):
             state = random_state(n, 40 + n)
             for control, target in itertools.permutations(range(1, n + 1), 2):
-                result = apply_cnot(state, control, target)
+                result = apply_cnot(state, [(control, target)])
                 expected = gathered_cnot(state, control, target)
                 assert result.amplitudes.tobytes() == expected.tobytes()
 
     def test_output_is_a_fresh_frozen_buffer(self):
         state = random_state(3, 5)
-        result = apply_cnot(state, 3, 1)
+        result = apply_cnot(state, [(3, 1)])
         assert not np.shares_memory(result.amplitudes, state.amplitudes)
         assert not result.amplitudes.flags.writeable
         assert state.amplitudes.tobytes() == random_state(3, 5).amplitudes.tobytes()
 
+    def test_layer_matches_sequential_gathers_bit_for_bit(self):
+        # disjoint pairs commute, so one layer equals the gates one at a time
+        rng = np.random.default_rng(7)
+        for n in range(2, 7):
+            for trial in range(6):
+                state = random_state(n, 10 * n + trial)
+                qubits = [int(q) for q in rng.permutation(np.arange(1, n + 1))]
+                pairs = list(zip(qubits[0::2], qubits[1::2]))[: rng.integers(1, n // 2 + 1)]
+                expected = state.amplitudes
+                for control, target in pairs:
+                    expected = gathered_cnot(StateVector(n, expected), control, target)
+                assert apply_cnot(state, pairs).amplitudes.tobytes() == expected.tobytes()
+
     def test_validates_indices(self):
         with pytest.raises(ValueError):
-            apply_cnot(ket("00"), 1, 1)
+            apply_cnot(ket("00"), [(1, 1)])
         with pytest.raises(ValueError):
-            apply_cnot(ket("00"), 0, 2)
+            apply_cnot(ket("00"), [(0, 2)])
         with pytest.raises(ValueError):
-            apply_cnot(ket("00"), 1, 3)
+            apply_cnot(ket("00"), [(1, 3)])
+
+    def test_overlapping_pairs_rejected_before_allocation(self, monkeypatch):
+        state = random_state(4, 2)
+        monkeypatch.setattr(np, "empty_like", no_allocation)
+        shared_control = [(1, 2), (1, 3)]
+        shared_target = [(1, 3), (2, 3)]
+        target_is_a_control = [(1, 2), (2, 3)]
+        out_of_range_second = [(1, 2), (3, 5)]
+        for pairs in (shared_control, shared_target, target_is_a_control, out_of_range_second):
+            with pytest.raises(ValueError):
+                apply_cnot(state, pairs)
 
 
 class TestHadamardLayer:
@@ -189,16 +221,19 @@ class TestHadamardLayer:
             np.testing.assert_allclose(result.amplitudes, 2.0 ** (-n / 2), atol=1e-14)
 
     def test_matches_per_qubit_reference_bit_for_bit(self):
-        # one H at a time through the reference, in the layer's order
-        for n in range(1, 6):
+        # one H at a time through the reference, in the layer's order; the
+        # single-qubit layers include q = n, which the kernel runs as rows
+        for n in range(1, 9):
             psi = random_state(n, 40 + n)
-            qubits = list(range(n, 0, -1))
-            expected = psi
-            for q in qubits:
-                expected = on_qubit(expected, H, q)
-            np.testing.assert_array_equal(
-                hadamard_layer(psi, qubits).amplitudes, expected.amplitudes
-            )
+            layers = [[q] for q in range(1, n + 1)]
+            layers += [list(range(1, n + 1)), list(range(n, 0, -1))]
+            for qubits in layers:
+                expected = psi
+                for q in qubits:
+                    expected = on_qubit(expected, H, q)
+                assert hadamard_layer(psi, qubits).amplitudes.tobytes() == (
+                    expected.amplitudes.tobytes()
+                ), f"n={n} qubits={qubits}"
 
     def test_output_is_a_fresh_frozen_buffer(self):
         for qubits in ([1], [2], [3, 1]):

@@ -307,9 +307,9 @@ class TestSchedule:
             calls.append(("H", tuple(qubits), state.n_qubits))
             return hadamard_layer(state, qubits)
 
-        def recording_cnot(state, control, target):
-            calls.append(("CNOT", (control, target), state.n_qubits))
-            return apply_cnot(state, control, target)
+        def recording_cnot(state, pairs):
+            calls.append(("CNOT", tuple(pairs), state.n_qubits))
+            return apply_cnot(state, pairs)
 
         monkeypatch.setattr(teleport_module, "hadamard_layer", recording_layer)
         monkeypatch.setattr(teleport_module, "apply_cnot", recording_cnot)
@@ -320,16 +320,17 @@ class TestSchedule:
             # the Bell pairs are prepared on the 2n-qubit ancilla register
             placed = [(op.kind, tuple(q - n for q in op.qubits), 2 * n) for op in gate_ops[: 2 * n]]
             placed += [(op.kind, op.qubits, 3 * n) for op in gate_ops[2 * n :]]
-            # a run of H ops on one register is one layer call; each CNOT is its own call
+            # a run of H ops, or of CNOT pairs, on one register is one layer call
             expected = []
             for (kind, width), run in itertools.groupby(placed, key=lambda c: (c[0], c[2])):
                 run = list(run)
                 if kind == "H":
                     expected.append(("H", sum((qubits for _, qubits, _ in run), ()), width))
                 else:
-                    expected += run
+                    expected.append(("CNOT", tuple(qubits for _, qubits, _ in run), width))
             assert calls == expected
             assert [c[0] for c in calls].count("H") == 2
+            assert [c[0] for c in calls].count("CNOT") == 2
 
 
 class TestTraceSerialization:
