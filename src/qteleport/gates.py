@@ -2,7 +2,10 @@
 
 Each layer kernel applies a set of commuting gates in one call: a CNOT
 layer is a list of (control, target) pairs on distinct qubits, applied as
-one permutation of the amplitudes; a Hadamard layer is one GEMM per qubit.
+one permutation of the amplitudes, whose slice plan is built once per
+register size and pair list and then reused; a Hadamard layer is one GEMM
+per qubit, real on the float64 view of the amplitudes for every qubit but
+the last, since H is real.
 
 ``hadamard_closed_form`` builds the transform of a basis state directly
 from the AND-parity sign, without touching a matrix; it is the independent
@@ -11,6 +14,7 @@ twin of ``hadamard_layer`` and the two are cross-checked in the tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,6 +28,8 @@ from .statevector import StateVector
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _H = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=np.complex128)
 _H.setflags(write=False)
+_H_REAL = _H.real.copy()
+_H_REAL.setflags(write=False)
 
 
 def apply_cnot(state: StateVector, pairs: Iterable[tuple[int, int]]) -> StateVector:
@@ -34,7 +40,26 @@ def apply_cnot(state: StateVector, pairs: Iterable[tuple[int, int]]) -> StateVec
     returns ``state`` itself.
     """
     n = state.n_qubits
-    pairs = list(pairs)
+    pairs = tuple((control, target) for control, target in pairs)
+    plan = _cnot_plan(n, pairs)
+    if not pairs:
+        return state
+    source = state.amplitudes.reshape((2,) * n)
+    out = np.empty_like(source)
+    for write, read in plan:
+        out[write] = source[read]
+    return StateVector._owned(n, out.reshape(-1))
+
+
+@functools.lru_cache(maxsize=64)
+def _cnot_plan(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple, tuple], ...]:
+    """Validate a CNOT layer on n qubits and return its ``(write, read)`` index
+    pairs, one slice copy per pattern of control bits.
+
+    Where a control is 1 its target axis is read reversed, which swaps the
+    target-0 and -1 halves.  A bad layer raises every time; only valid
+    layers are cached.
+    """
     seen: set[int] = set()
     for control, target in pairs:
         for q in (control, target):
@@ -43,20 +68,15 @@ def apply_cnot(state: StateVector, pairs: Iterable[tuple[int, int]]) -> StateVec
             if q in seen:
                 raise ValueError(f"qubit {q} appears twice in the CNOT layer")
             seen.add(q)
-    if not pairs:
-        return state
-    source = state.amplitudes.reshape((2,) * n)
-    out = np.empty_like(source)
-    # one slice copy per pattern of control bits: where a control is 1 its
-    # target axis is read reversed, which swaps the target-0 and -1 halves
+    plan = []
     for bits in itertools.product((0, 1), repeat=len(pairs)):
         write, read = [slice(None)] * n, [slice(None)] * n
         for (control, target), bit in zip(pairs, bits):
             write[control - 1] = read[control - 1] = bit
             if bit:
                 read[target - 1] = slice(None, None, -1)
-        out[tuple(write)] = source[tuple(read)]
-    return StateVector._owned(n, out.reshape(-1))
+        plan.append((tuple(write), tuple(read)))
+    return tuple(plan)
 
 
 def hadamard_layer(state: StateVector, qubits: Iterable[int]) -> StateVector:
@@ -81,8 +101,12 @@ def hadamard_layer(state: StateVector, qubits: Iterable[int]) -> StateVector:
             # H on (2, 1) columns would leave GEMM and round differently
             np.matmul(a.reshape(-1, 2), _H, out=out.reshape(-1, 2))
         else:
+            # H is real, so one real GEMM on the float64 view (re and im side
+            # by side in each row) does the work of the complex one
             shape = (1 << (q - 1), 2, -1)
-            np.matmul(_H, a.reshape(shape), out=out.reshape(shape))
+            np.matmul(
+                _H_REAL, a.view(np.float64).reshape(shape), out=out.view(np.float64).reshape(shape)
+            )
         a = out
     return StateVector._owned(n, a)
 

@@ -65,8 +65,9 @@ def max_qubits() -> int:
 def _require_capacity(n_qubits: int) -> None:
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    if n_qubits > max_qubits():
-        raise CapacityError(f"{n_qubits} qubits exceeds the capacity of {max_qubits()}")
+    limit = max_qubits()
+    if n_qubits > limit:
+        raise CapacityError(f"{n_qubits} qubits exceeds the capacity of {limit}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class MeasurementOutcome:
 class StateVector:
     """Complex amplitudes over an n-qubit register, indexed big-endian."""
 
-    __slots__ = ("n_qubits", "amplitudes")
+    __slots__ = ("n_qubits", "amplitudes", "_norm")
 
     def __init__(self, n_qubits: int, amplitudes: Sequence[complex] | np.ndarray) -> None:
         self._adopt(n_qubits, np.array(amplitudes, dtype=np.complex128).reshape(-1))
@@ -108,17 +109,24 @@ class StateVector:
         if amps.shape != (1 << n_qubits,):
             got = amps.size if amps.ndim == 1 else f"shape {amps.shape}"
             raise ValueError(f"expected {1 << n_qubits} amplitudes for {n_qubits} qubits, got {got}")
-        if not np.all(np.isfinite(amps)):
+        # the squared norm as np.linalg.norm forms it; a finite sum means every
+        # amplitude is finite, so the element check runs only when it is not
+        # (finite amplitudes above ~1e154 overflow it, which is not an error)
+        with np.errstate(over="ignore"):
+            sqnorm = float(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
+        if not math.isfinite(sqnorm) and not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite (no NaN/Inf)")
         amps.setflags(write=False)
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_norm", math.sqrt(sqnorm))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("StateVector is immutable")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """Euclidean norm, equal to ``np.linalg.norm(self.amplitudes)``; computed once."""
+        return self._norm
 
     def require_normalized(self, atol: float = 1e-8, context: str = "state") -> None:
         """Raise :class:`NormalizationError` if the norm drifted beyond ``atol``."""
@@ -141,9 +149,10 @@ def basis_state(label: BitChain) -> StateVector:
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; ``a`` supplies the high-order qubits."""
     combined = a.n_qubits + b.n_qubits
-    if combined > max_qubits():
+    limit = max_qubits()
+    if combined > limit:
         raise CapacityError(
-            f"tensor product needs {combined} qubits, exceeding the capacity of {max_qubits()}"
+            f"tensor product needs {combined} qubits, exceeding the capacity of {limit}"
         )
     return StateVector._owned(combined, np.kron(a.amplitudes, b.amplitudes))
 

@@ -87,10 +87,9 @@ def pre_measurement_closed_form(alpha: Sequence[complex] | np.ndarray, n: int) -
     return StateVector(3 * n, amps)
 
 
-def outcome_branches(
-    alpha: Sequence[complex] | np.ndarray, n: int
-) -> dict[BitChain, StateVector]:
-    """Outcome-keyed decomposition of the pre-measurement state.
+def outcome_branches(alpha: Sequence[complex] | np.ndarray, n: int) -> np.ndarray:
+    """Outcome-indexed decomposition of the pre-measurement state, as a
+    (4^n, 2^n) array whose row a is the receiver branch for outcome value a.
 
     For outcome bits a (first half z, second half x) the receiver branch is
     branch[b] = (-1)^parity((b XOR x) AND z) * alpha[b XOR x] / 2^n — the
@@ -103,21 +102,23 @@ def outcome_branches(
     out, b = np.ogrid[: 1 << (2 * n), :dim]
     source = b ^ (out & (dim - 1))
     sign = np.where(_and_parity(source, out >> n), -1.0, 1.0)
-    rows = sign * a[source] * scale
-    return {BitChain(2 * n, v): StateVector(n, row) for v, row in enumerate(rows)}
+    return sign * a[source] * scale
 
 
-def reassemble_from_branches(
-    branches: dict[BitChain, StateVector], n: int
-) -> StateVector:
+def reassemble_from_branches(branches: np.ndarray, n: int) -> StateVector:
     """Stack |outcome> tensor branch over all outcomes back into the full
     3n-qubit state; equality with the pre-measurement closed form is the
-    identity the whole module exists to check."""
-    amps = np.zeros(1 << (3 * n), dtype=np.complex128)
-    for bits, branch in branches.items():
-        start = bits.value << n
-        amps[start : start + (1 << n)] = branch.amplitudes
-    return StateVector(3 * n, amps)
+    identity the whole module exists to check.
+
+    ``branches`` is the (4^n, 2^n) array of :func:`outcome_branches`, row a
+    for outcome value a, so the stack is its rows in order.
+    """
+    rows = np.asarray(branches)
+    if rows.shape != (1 << (2 * n), 1 << n):
+        raise ValueError(
+            f"expected a ({1 << (2 * n)}, {1 << n}) branch array for n={n}, got shape {rows.shape}"
+        )
+    return StateVector(3 * n, rows.reshape(-1))
 
 
 def two_qubit_table_state(alpha: Sequence[complex] | np.ndarray) -> StateVector:
@@ -197,7 +198,7 @@ def verify_protocol(n: int, trials: int = 20, seed: int = 0) -> VerificationRepo
         for out in outcome_values:
             bits = BitChain(2 * n, out)
             trace = teleport(psi, force_outcome=bits)
-            predicted = branches[bits].amplitudes * (2.0**n)  # normalized branch
+            predicted = branches[out] * (2.0**n)  # normalized branch
             branch_dev = max(
                 branch_dev,
                 float(np.max(np.abs(trace.bob_pre_correction.amplitudes - predicted))),

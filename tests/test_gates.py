@@ -174,6 +174,30 @@ class TestCnot:
                     expected = gathered_cnot(StateVector(n, expected), control, target)
                 assert apply_cnot(state, pairs).amplitudes.tobytes() == expected.tobytes()
 
+    def test_cached_plan_fits_other_states_and_registers(self):
+        # the slice plan is built once per (n, pairs); the same pairs on a
+        # second state, and on registers of other sizes, still match the gathers
+        pairs = [(1, 2), (4, 3)]
+        for n in (4, 5, 6, 4):
+            for seed in (1, 2):
+                state = random_state(n, 100 * n + seed)
+                expected = state.amplitudes
+                for control, target in pairs:
+                    expected = gathered_cnot(StateVector(n, expected), control, target)
+                assert apply_cnot(state, pairs).amplitudes.tobytes() == expected.tobytes()
+
+    def test_bad_layer_raises_after_a_good_one_is_cached(self):
+        state = random_state(3, 4)
+        apply_cnot(state, [(1, 2)])
+        apply_cnot(state, [(1, 3)])
+        for pairs in ([(1, 2), (2, 3)], [(1, 1)], [(1, 4)], [(0, 2)]):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    apply_cnot(state, pairs)
+        # a cached layer on 3 qubits does not fit a 2-qubit register
+        with pytest.raises(ValueError):
+            apply_cnot(random_state(2, 4), [(1, 3)])
+
     def test_validates_indices(self):
         with pytest.raises(ValueError):
             apply_cnot(ket("00"), [(1, 1)])

@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from qteleport.statevector import (
     tensor,
 )
 from qteleport.teleport import teleport
+
+statevector_module = importlib.import_module("qteleport.statevector")
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -73,6 +77,24 @@ class TestConstruction:
             StateVector(1, [np.nan, 0.0])
         with pytest.raises(ValueError):
             StateVector(1, [1.0, np.inf * 1j])
+        # either part, also beside a finite amplitude whose square overflows
+        for amps in (
+            [complex(0.0, np.nan), 0.5],
+            [np.inf, 0.5],
+            [1e200, complex(np.nan, 0.0)],
+            [1e200, complex(0.0, -np.inf)],
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                StateVector(1, amps)
+
+    def test_accepts_a_finite_amplitude_whose_square_overflows(self):
+        # accepted without a warning; the norm is inf, as numpy's is
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = [StateVector(1, [1e200, 0.0]), StateVector._owned(1, np.array([0.0, 1e200j]))]
+        for state in states:
+            with np.errstate(over="ignore"):
+                assert state.norm() == math.inf == float(np.linalg.norm(state.amplitudes))
 
     def test_amplitudes_are_frozen(self):
         state = basis_state(BitChain(1, 0))
@@ -103,8 +125,23 @@ class TestConstruction:
             np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex64),
             np.array([np.nan, 0.0, 0.0, 1.0], dtype=np.complex128),
             np.array([1.0, np.inf * 1j, 0.0, 0.0], dtype=np.complex128),
+            np.array([complex(0.0, np.nan), 0.0, 0.0, 1.0]),
+            np.array([np.inf, 0.0, 0.0, 1.0], dtype=np.complex128),
+            np.array([1e200, complex(np.nan, 0.0), 0.0, 0.0]),
+            np.array([1e200, 0.0, 0.0, complex(0.0, -np.inf)]),
         ],
-        ids=["wrong-length", "wrong-shape", "float64", "complex64", "nan", "inf"],
+        ids=[
+            "wrong-length",
+            "wrong-shape",
+            "float64",
+            "complex64",
+            "nan",
+            "inf",
+            "nan-imag",
+            "inf-real",
+            "nan-beside-overflow",
+            "inf-beside-overflow",
+        ],
     )
     def test_owned_rejects_bad_arrays(self, amps):
         with pytest.raises(ValueError):
@@ -131,6 +168,15 @@ class TestConstruction:
         monkeypatch.setattr(np, "zeros", no_zeros)
         with pytest.raises(CapacityError):
             basis_state(BitChain(4, 0))
+
+    def test_capacity_message_names_the_limit_it_checked(self, monkeypatch):
+        # a limit that changes between reads: the message must name the one checked
+        high, low = basis_state(BitChain(3, 0)), basis_state(BitChain(2, 0))
+        for build in (lambda: StateVector(5, np.zeros(32)), lambda: tensor(high, low)):
+            limits = iter([4, 100])
+            monkeypatch.setattr(statevector_module, "max_qubits", lambda: next(limits))
+            with pytest.raises(CapacityError, match="capacity of 4$"):
+                build()
 
     def test_capacity_env_validation(self, monkeypatch):
         monkeypatch.setenv("QTELEPORT_MAX_QUBITS", "many")
@@ -349,6 +395,17 @@ class TestMeasurement:
 
 
 class TestNormChecks:
+    def test_norm_equals_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 9):
+            draws = rng.standard_normal((2, 1 << n)) * rng.uniform(0.1, 10.0)
+            for state in (
+                random_state(n, n),
+                StateVector(n, draws[0] + 1j * draws[1]),
+                StateVector._owned(n, draws[0] - 1j * draws[1]),
+            ):
+                assert state.norm().hex() == float(np.linalg.norm(state.amplitudes)).hex()
+
     def test_require_normalized_passes(self):
         random_state(2, 1).require_normalized()
 

@@ -77,6 +77,14 @@ class TestBellPreparation:
             expected[(j << 3) | j] = 1.0 / math.sqrt(8.0)
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-14)
 
+    def test_exact_zeros_are_unsigned(self):
+        # the Hadamard layer writes each exact zero as +0.0, as the Pauli
+        # correction does, so a JSON trace never prints -0.0 in the Bell state
+        for n in (1, 2, 3, 4):
+            words = bell_state(n).amplitudes.view(np.float64)
+            assert (words == 0.0).sum() > 0
+            assert not np.signbit(words[words == 0.0]).any()
+
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             circuit_schedule(0)

@@ -201,9 +201,9 @@ class TestClosedForms:
                 assert same_bits(post_cnot_closed_form(a, n), loop_post_cnot(a, n))
                 assert same_bits(pre_measurement_closed_form(a, n), loop_pre_measurement(a, n))
                 branches = outcome_branches(a, n)
-                assert [bits.value for bits in branches] == list(range(1 << (2 * n)))
-                for bits, branch in branches.items():
-                    assert same_bits(branch, loop_branch(a, n, bits.value))
+                assert branches.shape == (1 << (2 * n), 1 << n)
+                for out, row in enumerate(branches):
+                    assert row.tobytes() == loop_branch(a, n, out).tobytes()
 
     def test_and_parity_helper(self):
         rng = np.random.default_rng(3)
@@ -225,9 +225,7 @@ class TestOutcomeBranches:
         for n in (1, 2):
             alpha = random_alpha(n, 6 + n)
             branches = outcome_branches(alpha, n)
-            np.testing.assert_allclose(
-                branches[BitChain(2 * n, 0)].amplitudes, alpha / 2.0**n, atol=1e-15
-            )
+            np.testing.assert_allclose(branches[0], alpha / 2.0**n, atol=1e-15)
 
     def test_single_qubit_conditional_states(self):
         a, b = 0.6, 0.8j
@@ -240,7 +238,7 @@ class TestOutcomeBranches:
         }
         for text, amps in expected.items():
             np.testing.assert_allclose(
-                branches[BitChain.from_string(text)].amplitudes,
+                branches[BitChain.from_string(text).value],
                 np.array(amps) / 2.0,
                 atol=1e-15,
             )
@@ -249,8 +247,8 @@ class TestOutcomeBranches:
         for n in (1, 2, 3):
             branches = outcome_branches(random_alpha(n, 13 + n), n)
             assert len(branches) == 4**n
-            for branch in branches.values():
-                assert branch.norm() ** 2 == pytest.approx(4.0 ** (-n), abs=1e-12)
+            for branch in branches:
+                assert np.linalg.norm(branch) ** 2 == pytest.approx(4.0 ** (-n), abs=1e-12)
 
     def test_reassembly_identity(self):
         for n in (1, 2, 3):
@@ -263,6 +261,14 @@ class TestOutcomeBranches:
                     pre_measurement_closed_form(alpha, n).amplitudes,
                     atol=1e-12,
                 )
+
+    def test_reassembly_rejects_a_wrongly_shaped_array(self):
+        branches = outcome_branches(random_alpha(2, 5), 2)
+        for bad in (branches[:-1], branches.T, branches.reshape(-1), branches.reshape(4, 4, 4)):
+            with pytest.raises(ValueError, match="branch array"):
+                reassemble_from_branches(bad, 2)
+        with pytest.raises(ValueError, match="branch array"):
+            reassemble_from_branches(branches, 1)  # the rows of another n
 
     def test_gate_pipeline_matches_oracles_stage_by_stage(self):
         # closed-form chain against the simulator for 100 random inputs
