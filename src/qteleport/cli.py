@@ -185,8 +185,9 @@ def _state_from_file(path: str, n: int) -> StateVector:
         state = state_from_dict(payload)
     except OSError as exc:
         raise CommandError(EX_FILE, f"cannot read state file {path!r}: {exc}") from exc
-    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
-        # nesting too deep for the JSON reader, or an amplitude too large for a float
+    except (ValueError, TypeError, OverflowError, RecursionError, CapacityError) as exc:
+        # nesting too deep for the JSON reader, an amplitude too large for a
+        # float, or more qubits than the capacity allows
         raise CommandError(EX_FILE, f"state file {path!r} is not a valid state: {exc}") from exc
     if state.n_qubits != n:
         raise CommandError(

@@ -5,11 +5,8 @@ layer is a list of (control, target) pairs on distinct qubits, applied as
 one permutation of the amplitudes, whose slice plan is built once per
 register size and pair list and then reused; a Hadamard layer is one GEMM
 per qubit, real on the float64 view of the amplitudes for every qubit but
-the last, since H is real.
-
-``hadamard_closed_form`` builds the transform of a basis state directly
-from the AND-parity sign, without touching a matrix; it is the independent
-twin of ``hadamard_layer`` and the two are cross-checked in the tests.
+the last, since H is real.  The Pauli products that correct the
+receiver's state are one signed permutation of the amplitudes.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bitchain import BitChain, iverson_delta
+from .bitchain import BitChain
 from .statevector import StateVector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -109,21 +106,6 @@ def hadamard_layer(state: StateVector, qubits: Iterable[int]) -> StateVector:
             )
         a = out
     return StateVector._owned(n, a)
-
-
-def hadamard_closed_form(i: BitChain) -> StateVector:
-    """The Hadamard transform of basis state ``|i>``, built without matrices.
-
-    Every label k receives amplitude (-1)^delta(i, k) / sqrt(2^n) where
-    delta is the AND-parity of the two labels.
-    """
-    n = i.width
-    scale = 1.0 / math.sqrt(2.0**n)
-    amps = np.empty(1 << n, dtype=np.complex128)
-    for k in range(1 << n):
-        sign = -1.0 if iverson_delta(i, BitChain(n, k)) else 1.0
-        amps[k] = sign * scale
-    return StateVector(n, amps)
 
 
 @dataclass(frozen=True)

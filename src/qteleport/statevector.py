@@ -5,11 +5,13 @@ index, so ``|i>`` for a chain ``i`` sits at array position ``i.value``.
 Operations return fresh vectors; amplitude arrays are frozen on
 construction, which makes states safe to share across threads.
 
-Measurement acts on the leading qubits 1..k only.  Reshaped to
-(2^k, 2^(n-k)), the state's row r holds the unnormalized state of the n-k
-unmeasured qubits given outcome r: the outcome probabilities are the row
-sums of |amplitude|^2, and collapsing onto r returns that row divided by
-the square root of its probability.
+Measurement acts on the leading qubits 1..k only, so a measurement takes
+the span length k (a collapse reads it off the outcome's width) rather
+than a qubit list.  Reshaped to (2^k, 2^(n-k)), the state's row r holds
+the unnormalized state of the n-k unmeasured qubits given outcome r: the
+outcome probabilities are the row sums of |amplitude|^2, returned as one
+array indexed by r, and collapsing onto r returns that row divided by the
+square root of its probability.
 
 Normalization is deliberately not enforced by the type: protocol stages
 re-check it explicitly (see :meth:`StateVector.require_normalized`) so a
@@ -163,28 +165,34 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def probabilities_of_subset(state: StateVector, qubits: Sequence[int]) -> dict[BitChain, float]:
-    """Born probabilities of every outcome on the leading qubits ``1..k``
-    (k <= n), in ascending outcome order; bit m of an outcome is qubit m."""
-    marginal = _marginal(state, qubits)
-    k = len(qubits)
-    return {BitChain(k, v): float(marginal[v]) for v in range(1 << k)}
+def probabilities_of_subset(state: StateVector, k: int) -> np.ndarray:
+    """Born probabilities of the outcomes on the leading qubits ``1..k``
+    (1 <= k <= n) as a float64 array indexed by outcome value: the row sums
+    of |amplitude|^2 over the state reshaped to (2^k, 2^(n-k)); bit m of an
+    outcome is qubit m."""
+    if not 1 <= k <= state.n_qubits:
+        raise ValueError(f"cannot measure {k} leading qubits of {state.n_qubits}")
+    probs = (np.abs(state.amplitudes.reshape(1 << k, -1)) ** 2).sum(axis=1)
+    if float(probs.sum()) < _ZERO_MASS:
+        raise NormalizationError("state carries no probability mass; it was not normalized")
+    return probs
 
 
 def project_onto_outcome(
-    state: StateVector, qubits: Sequence[int], bits: BitChain
+    state: StateVector, bits: BitChain
 ) -> tuple[MeasurementOutcome, StateVector]:
-    """Deterministically collapse the leading qubits ``1..k`` (k < n) onto ``bits``.
+    """Deterministically collapse the leading qubits ``1..k`` onto ``bits``,
+    where k = ``bits.width`` < n.
 
     The amplitudes carrying that prefix are row ``bits.value`` of the state
     reshaped to (2^k, 2^(n-k)).  Returns the outcome with its true Born
     probability and the renormalized state of the n-k unmeasured qubits.
     """
-    k = _leading_span(state, qubits)
-    if k == state.n_qubits:
-        raise ValueError(f"collapsing all {k} qubits leaves no unmeasured state to return")
-    if bits.width != k:
-        raise ValueError(f"outcome width {bits.width} != {k} measured qubits")
+    k = bits.width
+    if k >= state.n_qubits:
+        raise ValueError(
+            f"collapsing {k} qubits of {state.n_qubits} leaves no unmeasured state to return"
+        )
     row = state.amplitudes.reshape(1 << k, -1)[bits.value]
     prob = float(np.sum(np.abs(row) ** 2))
     if prob < _ZERO_MASS:
@@ -195,7 +203,7 @@ def project_onto_outcome(
 
 
 def measure_subset(
-    state: StateVector, qubits: Sequence[int], rng: np.random.Generator | int
+    state: StateVector, k: int, rng: np.random.Generator | int
 ) -> tuple[MeasurementOutcome, StateVector]:
     """Measure the leading qubits ``1..k`` (k < n) with Born-rule sampling and
     collapse, returning the state of the unmeasured qubits as
@@ -206,13 +214,13 @@ def measure_subset(
     bit-for-bit given the same seed.
     """
     generator = np.random.default_rng(rng)
-    marginal = _marginal(state, qubits)
-    cumulative = np.cumsum(marginal)
+    probs = probabilities_of_subset(state, k)
+    cumulative = np.cumsum(probs)
     chosen = int(np.searchsorted(cumulative, generator.random(), side="right"))
-    if chosen == len(marginal):
+    if chosen == len(probs):
         # cumulative fell short of 1 by rounding; take the last live outcome
-        chosen = int(np.flatnonzero(marginal > 0.0)[-1])
-    return project_onto_outcome(state, qubits, BitChain(len(qubits), chosen))
+        chosen = int(np.flatnonzero(probs > 0.0)[-1])
+    return project_onto_outcome(state, BitChain(k, chosen))
 
 
 def random_state(n_qubits: int, rng: np.random.Generator | int) -> StateVector:
@@ -254,25 +262,3 @@ def _check_same_size(a: StateVector, b: StateVector, op: str) -> None:
     if a.n_qubits != b.n_qubits:
         raise ValueError(f"{op} needs equal registers, got {a.n_qubits} and {b.n_qubits} qubits")
 
-
-def _marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
-    """Born probabilities of the outcomes on the leading qubits ``1..k`` as a
-    flat array indexed by outcome value: the row sums of |amplitude|^2 over
-    the state reshaped to (2^k, 2^(n-k))."""
-    k = _leading_span(state, qubits)
-    marginal = (np.abs(state.amplitudes.reshape(1 << k, -1)) ** 2).sum(axis=1)
-    if float(marginal.sum()) < _ZERO_MASS:
-        raise NormalizationError("state carries no probability mass; it was not normalized")
-    return marginal
-
-
-def _leading_span(state: StateVector, qubits: Sequence[int]) -> int:
-    """Check that ``qubits`` is the leading span ``1..k`` of the register; return k."""
-    k = len(qubits)
-    if k == 0:
-        raise ValueError("no qubits selected for measurement")
-    if list(qubits) != list(range(1, k + 1)):
-        raise ValueError(f"only the leading qubits 1..k can be measured, got {list(qubits)}")
-    if k > state.n_qubits:
-        raise ValueError(f"qubit {k} outside 1..{state.n_qubits}")
-    return k

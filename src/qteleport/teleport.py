@@ -13,8 +13,10 @@ select X exponents; the receiver applies the exact inverse of that Pauli
 product to their n-qubit state, so the corrected state equals the payload
 amplitude by amplitude, not just up to phase.
 
-Every stage re-checks normalization (drift beyond 1e-8 raises) so a buggy
-gate surfaces immediately instead of being hidden by renormalization.
+The measurement arguments (a seed, or a forced outcome of width 2n) are
+checked before any gate runs.  Every stage re-checks normalization (drift
+beyond 1e-8 raises) so a buggy gate surfaces immediately instead of being
+hidden by renormalization.
 """
 
 from __future__ import annotations
@@ -96,6 +98,10 @@ def teleport(
     """
     n = psi.n_qubits
     psi.require_normalized(context="input state")
+    if force_outcome is None and seed is None:
+        raise ValueError("teleport needs a seed unless force_outcome is given")
+    if force_outcome is not None and force_outcome.width != 2 * n:
+        raise ValueError(f"forced outcome width {force_outcome.width} != {2 * n} measured qubits")
     ops = circuit_schedule(n)
     # The first 2n ops touch only the ancillas: the Bell pairs exist before
     # the payload joins, so they run on the 2n-qubit ancilla register.
@@ -107,13 +113,10 @@ def teleport(
     pre_measurement.require_normalized(context="pre-measurement state")
 
     first, last = ops[4 * n].qubits
-    alice_qubits = list(range(first, last + 1))
     if force_outcome is not None:
-        outcome, bob_pre = project_onto_outcome(pre_measurement, alice_qubits, force_outcome)
+        outcome, bob_pre = project_onto_outcome(pre_measurement, force_outcome)
     else:
-        if seed is None:
-            raise ValueError("teleport needs a seed unless force_outcome is given")
-        outcome, bob_pre = measure_subset(pre_measurement, alice_qubits, seed)
+        outcome, bob_pre = measure_subset(pre_measurement, last - first + 1, seed)
 
     bob_post = apply_pauli_correction_inverse(bob_pre, correction_for_outcome(outcome.bits))
     bob_post.require_normalized(context="corrected receiver state")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bitchain import BitChain
 from .statevector import StateVector, basis_state, random_state
-from .gates import hadamard_closed_form, hadamard_layer
+from .gates import hadamard_layer
 from .teleport import teleport
 
 PASS_TOLERANCE = 1e-10
@@ -57,6 +57,17 @@ def bell_closed_form(n: int) -> StateVector:
     j = np.arange(1 << n)
     amps[(j << n) | j] = 1.0 / math.sqrt(2.0**n)
     return StateVector(2 * n, amps)
+
+
+def hadamard_closed_form(i: BitChain) -> StateVector:
+    """The Hadamard transform of basis state ``|i>``, built without matrices.
+
+    Every label k receives amplitude (-1)^delta(i, k) / sqrt(2^n) where
+    delta is the AND-parity of the two labels.
+    """
+    n = i.width
+    scale = 1.0 / math.sqrt(2.0**n)
+    return StateVector(n, np.where(_and_parity(i.value, np.arange(1 << n)), -scale, scale))
 
 
 def post_cnot_closed_form(alpha: Sequence[complex] | np.ndarray, n: int) -> StateVector:

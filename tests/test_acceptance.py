@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from qteleport.bitchain import BitChain, append_bit, iverson_delta
-from qteleport.gates import hadamard_closed_form, hadamard_layer
+from qteleport.gates import hadamard_layer
 from qteleport.statevector import (
     StateVector,
     basis_state,
@@ -22,6 +22,7 @@ from qteleport.statevector import (
 from qteleport.teleport import teleport, trace_to_json
 from qteleport.verify import (
     TWO_QUBIT_OUTCOME_TABLE,
+    hadamard_closed_form,
     outcome_branches,
     pre_measurement_closed_form,
     reassemble_from_branches,
@@ -133,10 +134,10 @@ def test_criterion_7_uniform_outcome_law():
     for n in (1, 2, 3):
         psi = random_state(n, 70 + n)
         pre = _pre_measurement_via_gates(psi.amplitudes, n)
-        probabilities = probabilities_of_subset(pre, list(range(1, 2 * n + 1)))
+        probabilities = probabilities_of_subset(pre, 2 * n)
         assert len(probabilities) == 4**n
-        for bits, probability in probabilities.items():
-            assert abs(probability - 4.0 ** (-n)) <= 1e-10, f"n={n} outcome={bits}"
+        for value, probability in enumerate(probabilities):
+            assert abs(probability - 4.0 ** (-n)) <= 1e-10, f"n={n} outcome={BitChain(2 * n, value)}"
     _passed(7, "every sender outcome has exact Born probability 4^-n for n<=3 at 1e-10")
 
 

@@ -166,6 +166,15 @@ class TestTeleportCommand:
         assert code == EX_FILE
         assert out == ""
 
+    @pytest.mark.parametrize("n_qubits", [22, 10**30])
+    def test_qubit_count_over_the_capacity_in_file_exits_2(self, capsys, tmp_path, n_qubits):
+        path = tmp_path / "state.json"
+        path.write_text('{"n_qubits": %d, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}' % n_qubits)
+        code, out, err = run_cli(capsys, "teleport", "--n", "1", "--state", str(path), "--seed", "1")
+        assert code == EX_FILE
+        assert str(path) in err
+        assert out == ""
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(

@@ -11,11 +11,11 @@ from qteleport.gates import (
     apply_cnot,
     apply_pauli_correction,
     apply_pauli_correction_inverse,
-    hadamard_closed_form,
     hadamard_layer,
 )
 from qteleport.statevector import StateVector, basis_state, random_state
 from qteleport.teleport import ScheduleOp, render_schedule
+from qteleport.verify import hadamard_closed_form
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 

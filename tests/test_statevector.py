@@ -247,62 +247,49 @@ class TestInnerProductAndFidelity:
 
 class TestProbabilities:
     def test_basis_state_is_certain(self):
-        probs = probabilities_of_subset(basis_state(BitChain(3, 0)), [1, 2, 3])
-        assert probs[BitChain(3, 0)] == pytest.approx(1.0)
-        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+        probs = probabilities_of_subset(basis_state(BitChain(3, 0)), 3)
+        assert probs[0] == pytest.approx(1.0)
+        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_pair_marginals(self):
-        probs = probabilities_of_subset(bell_pair(), [1, 2])
-        assert probs[BitChain(2, 0b00)] == pytest.approx(0.5, abs=1e-12)
-        assert probs[BitChain(2, 0b11)] == pytest.approx(0.5, abs=1e-12)
-        assert probs[BitChain(2, 0b01)] == 0
-        assert probs[BitChain(2, 0b10)] == 0
+        probs = probabilities_of_subset(bell_pair(), 2)
+        assert probs[0b00] == pytest.approx(0.5, abs=1e-12)
+        assert probs[0b11] == pytest.approx(0.5, abs=1e-12)
+        assert probs[0b01] == 0
+        assert probs[0b10] == 0
 
     def test_sums_to_one_on_random_states(self):
         for seed in range(5):
             state = random_state(4, seed)
-            for subset in ([1], [1, 2], [1, 2, 3], [1, 2, 3, 4]):
-                total = sum(probabilities_of_subset(state, subset).values())
+            for k in (1, 2, 3, 4):
+                total = sum(probabilities_of_subset(state, k))
                 assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_validates_subset(self):
+        # the span holds 1..n qubits: k = 0 and k = n + 1 are rejected
         state = bell_pair()
-        with pytest.raises(ValueError):
-            probabilities_of_subset(state, [1, 1])
-        with pytest.raises(ValueError):
-            probabilities_of_subset(state, [0])
-        with pytest.raises(ValueError):
-            probabilities_of_subset(state, [3])
-        with pytest.raises(ValueError):
-            probabilities_of_subset(state, [])
+        for k in (0, 3):
+            with pytest.raises(ValueError):
+                probabilities_of_subset(state, k)
+            with pytest.raises(ValueError):
+                measure_subset(state, k, 0)
 
     def test_marginal_is_the_row_sums_of_the_reshaped_state(self):
         state = random_state(5, 8)
         for k in range(1, 6):
             rows = np.abs(state.amplitudes.reshape(1 << k, -1)) ** 2
-            probs = probabilities_of_subset(state, list(range(1, k + 1)))
-            assert list(probs.values()) == rows.sum(axis=1).tolist()
-
-    @pytest.mark.parametrize(
-        "qubits", [[2, 1], [2], [1, 3], [2, 3], []], ids=["out-of-order", "second", "gap", "tail", "empty"]
-    )
-    def test_only_the_leading_span_is_measured(self, qubits):
-        state = random_state(3, 1)
-        with pytest.raises(ValueError):
-            probabilities_of_subset(state, qubits)
-        with pytest.raises(ValueError):
-            measure_subset(state, qubits, 0)
-        bits = BitChain(len(qubits), 0) if qubits else BitChain(1, 0)
-        with pytest.raises(ValueError):
-            project_onto_outcome(state, qubits, bits)
+            probs = probabilities_of_subset(state, k)
+            assert probs.dtype == np.float64
+            assert probs.tobytes() == rows.sum(axis=1).tobytes()
 
     def test_collapse_needs_an_unmeasured_qubit(self):
         state = random_state(3, 2)
-        assert len(probabilities_of_subset(state, [1, 2, 3])) == 8
+        assert len(probabilities_of_subset(state, 3)) == 8
+        for k in (3, 4):
+            with pytest.raises(ValueError):
+                project_onto_outcome(state, BitChain(k, 0))
         with pytest.raises(ValueError):
-            project_onto_outcome(state, [1, 2, 3], BitChain(3, 0))
-        with pytest.raises(ValueError):
-            measure_subset(state, [1, 2, 3], 0)
+            measure_subset(state, 3, 0)
 
 
 class TestMeasurement:
@@ -310,7 +297,7 @@ class TestMeasurement:
         # measuring qubit 1 of a Bell pair leaves qubit 2 in the same basis state
         seen = set()
         for seed in range(40):
-            outcome, remainder = measure_subset(bell_pair(), [1], seed)
+            outcome, remainder = measure_subset(bell_pair(), 1, seed)
             assert outcome.probability == pytest.approx(0.5, abs=1e-12)
             expected = np.zeros(2)
             expected[outcome.bits.value] = 1.0
@@ -321,7 +308,7 @@ class TestMeasurement:
 
     def test_measuring_basis_state_returns_its_label(self):
         state = basis_state(BitChain(3, 0b101))
-        outcome, remainder = measure_subset(state, [1, 2], 9)
+        outcome, remainder = measure_subset(state, 2, 9)
         assert outcome.bits == BitChain(2, 0b10)
         assert outcome.probability == 1.0
         np.testing.assert_array_equal(remainder.amplitudes, basis_state(BitChain(1, 1)).amplitudes)
@@ -329,14 +316,14 @@ class TestMeasurement:
     def test_pre_measurement_branch_collapse(self):
         # outcome 01 has probability 1/4 and leaves the receiver in b|0> + a|1>
         a, b = 0.6, 0.8j
-        outcome, remainder = project_onto_outcome(n1_pre_measurement(a, b), [1, 2], BitChain(2, 0b01))
+        outcome, remainder = project_onto_outcome(n1_pre_measurement(a, b), BitChain(2, 0b01))
         assert outcome.probability == pytest.approx(0.25, abs=1e-12)
         np.testing.assert_allclose(remainder.amplitudes, [b, a], atol=1e-12)
 
     def test_sampling_is_deterministic_per_seed(self):
         state = random_state(3, 5)
-        first = measure_subset(state, [1, 2], 123)
-        second = measure_subset(state, [1, 2], 123)
+        first = measure_subset(state, 2, 123)
+        second = measure_subset(state, 2, 123)
         assert first[0] == second[0]
         np.testing.assert_array_equal(first[1].amplitudes, second[1].amplitudes)
 
@@ -347,17 +334,17 @@ class TestMeasurement:
             state = random_state(4, seed)
             draw = np.random.default_rng(seed).random()
             cumulative = 0.0
-            for bits, prob in probabilities_of_subset(state, [1, 2]).items():
+            for value, prob in enumerate(probabilities_of_subset(state, 2)):
                 cumulative += prob
                 if draw < cumulative:
                     break
-            assert measure_subset(state, [1, 2], seed)[0].bits == bits
+            assert measure_subset(state, 2, seed)[0].bits == BitChain(2, value)
 
     def test_draw_beyond_total_mass_takes_last_live_outcome(self):
         # total mass 0.51: a draw above it falls past every cumulative sum
         state = StateVector(3, [math.sqrt(0.5), 0.0, 0.0, 0.0, 0.1, 0.0, 0.0, 0.0])
         seed = next(s for s in range(100) if np.random.default_rng(s).random() > 0.51)
-        outcome, _ = measure_subset(state, [1, 2], seed)
+        outcome, _ = measure_subset(state, 2, seed)
         assert outcome.bits == BitChain(2, 0b10)
 
     def test_projection_matches_mask_reference_bit_for_bit(self):
@@ -377,7 +364,7 @@ class TestMeasurement:
                 prob, expected = masked_projection(state, qubits, bits)
                 if expected is None:
                     continue
-                outcome, remainder = project_onto_outcome(state, qubits, bits)
+                outcome, remainder = project_onto_outcome(state, bits)
                 assert outcome.probability == min(prob, 1.0)
                 assert remainder.n_qubits == n - k
                 assert remainder.amplitudes.tobytes() == expected.tobytes()
@@ -386,12 +373,12 @@ class TestMeasurement:
     def test_zero_mass_projection_rejected(self):
         state = basis_state(BitChain(3, 0b000))
         with pytest.raises(NormalizationError):
-            project_onto_outcome(state, [1, 2], BitChain(2, 0b11))
+            project_onto_outcome(state, BitChain(2, 0b11))
 
     def test_unnormalized_state_detected(self):
         tiny = StateVector(1, [1e-9, 0.0])
         with pytest.raises(NormalizationError):
-            probabilities_of_subset(tiny, [1])
+            probabilities_of_subset(tiny, 1)
 
 
 class TestNormChecks:

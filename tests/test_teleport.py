@@ -117,8 +117,8 @@ class TestAliceLayers:
     def test_hadamard_layer_uniform_for_basis_payload(self):
         pre = teleport(basis_state(BitChain(2, 0)), 0).pre_measurement_state
         # payload e_0 leaves the first two qubits in the uniform positive superposition
-        marginals = probabilities_of_subset(pre, [1, 2])
-        for prob in marginals.values():
+        marginals = probabilities_of_subset(pre, 2)
+        for prob in marginals:
             assert prob == pytest.approx(0.25, abs=1e-12)
         assert np.all(pre.amplitudes[np.abs(pre.amplitudes) > 1e-12].real > 0)
 
@@ -216,9 +216,9 @@ class TestTeleport:
         for n in (1, 2, 3):
             psi = random_state(n, n)
             trace = teleport(psi, 0)
-            probs = probabilities_of_subset(trace.pre_measurement_state, list(range(1, 2 * n + 1)))
+            probs = probabilities_of_subset(trace.pre_measurement_state, 2 * n)
             assert len(probs) == 4**n
-            for prob in probs.values():
+            for prob in probs:
                 assert prob == pytest.approx(4.0 ** (-n), abs=1e-10)
 
     def test_no_signaling_average(self):
@@ -259,6 +259,20 @@ class TestTeleport:
     def test_forced_outcome_width_checked(self):
         with pytest.raises(ValueError):
             teleport(random_state(2, 0), force_outcome=BitChain(3, 0))
+
+    def test_measurement_arguments_checked_before_any_gate(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("a kernel ran before the measurement arguments were checked")
+
+        for name in ("apply_cnot", "hadamard_layer", "tensor"):
+            monkeypatch.setattr(teleport_module, name, no_kernel)
+        n = 3
+        psi = random_state(n, 4)
+        with pytest.raises(ValueError, match="seed"):
+            teleport(psi)
+        for width in (2 * n - 1, 2 * n + 1, n):
+            with pytest.raises(ValueError, match="width"):
+                teleport(psi, force_outcome=BitChain(width, 0))
 
 
 class TestSchedule:

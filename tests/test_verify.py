@@ -10,10 +10,11 @@ import pytest
 from qteleport.bitchain import BitChain
 from qteleport.statevector import StateVector, random_state
 from qteleport.teleport import teleport
-from qteleport.gates import hadamard_closed_form, hadamard_layer
+from qteleport.gates import hadamard_layer
 from qteleport.verify import (
     TWO_QUBIT_OUTCOME_TABLE,
     bell_closed_form,
+    hadamard_closed_form,
     outcome_branches,
     post_cnot_closed_form,
     pre_measurement_closed_form,
@@ -171,8 +172,7 @@ class TestClosedForms:
         ids=lambda fn: fn.__name__,
     )
     def test_oracle_shares_no_code_with_the_simulator(self, oracle):
-        # follows the verify helpers an oracle calls; hadamard_closed_form is
-        # the one oracle that lives in gates
+        # follows the verify helpers an oracle calls
         simulator = {"qteleport.gates", "qteleport.teleport"}
         seen, pending = set(), [oracle]
         while pending:
@@ -181,8 +181,6 @@ class TestClosedForms:
                 continue
             seen.add(fn)
             for name, value in inspect.getclosurevars(fn).globals.items():
-                if value is hadamard_closed_form:
-                    continue
                 assert getattr(value, "__module__", None) not in simulator, (
                     f"{fn.__name__} uses {name} from the simulator"
                 )
