@@ -36,6 +36,7 @@ CAPACITY_ENV_VAR = "QTELEPORT_MAX_QUBITS"
 
 # Mass below this is treated as "no probability left", i.e. a broken state.
 _ZERO_MASS = 1e-12
+NORM_ATOL = 1e-8
 
 
 class CapacityError(RuntimeError):
@@ -130,11 +131,11 @@ class StateVector:
         """Euclidean norm, equal to ``np.linalg.norm(self.amplitudes)``; computed once."""
         return self._norm
 
-    def require_normalized(self, atol: float = 1e-8, context: str = "state") -> None:
-        """Raise :class:`NormalizationError` if the norm drifted beyond ``atol``."""
+    def require_normalized(self, context: str = "state") -> None:
+        """Raise :class:`NormalizationError` if the norm drifted beyond ``NORM_ATOL``."""
         drift = abs(self.norm() - 1.0)
-        if drift > atol:
-            raise NormalizationError(f"{context} has norm drift {drift:.3e} (> {atol:.0e})")
+        if drift > NORM_ATOL:
+            raise NormalizationError(f"{context} has norm drift {drift:.3e} (> {NORM_ATOL:.0e})")
 
     def __repr__(self) -> str:
         return f"StateVector(n_qubits={self.n_qubits}, norm={self.norm():.6f})"

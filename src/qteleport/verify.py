@@ -1,11 +1,11 @@
-"""Closed-form oracles for each protocol stage and the exhaustive checker.
+"""Closed-form oracles for each protocol stage and the protocol checker.
 
 The oracles here are built by direct index arithmetic — no gate matrices —
 so they share no code path with the simulator and a shared bug cannot mask
-itself.  ``verify_protocol`` drives both routes over basis and random
-inputs (exhaustively for n <= 3) and reports per-stage maximum amplitude
-deviations; equality is literal, including signs, with no global-phase
-alignment.
+itself.  ``verify_protocol`` drives both routes over basis and random inputs
+(exhaustively for n <= EXHAUSTIVE_MAX_N) and reports per-stage maximum
+amplitude deviations, as JSON or as text; equality is literal, including
+signs, with no global-phase alignment.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .gates import hadamard_layer
 from .teleport import teleport
 
 PASS_TOLERANCE = 1e-10
+EXHAUSTIVE_MAX_N = 3
 
 # Transcribed two-qubit pre-measurement table: for each 4-bit outcome, the
 # receiver-block coefficient of basis label b is sign * alpha[source], listed
@@ -162,19 +163,17 @@ class VerificationReport:
     passed: bool
 
 
-def verify_protocol(n: int, trials: int = 20, seed: int = 0) -> VerificationReport:
+def verify_protocol(n: int, seed: int = 0) -> VerificationReport:
     """Cross-check the gate pipeline against every closed form.
 
-    For n <= 3 the sweep is exhaustive over basis inputs and all 4^n forced
-    outcomes; for larger n both are sampled.  Failures are reported in the
-    returned record, never raised.
+    For n <= EXHAUSTIVE_MAX_N: every basis input, 20 random inputs and all
+    4^n forced outcomes.  Above it: 4 sampled basis inputs, 5 random inputs
+    and 32 sampled outcomes.  Failures are reported, never raised.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
-    exhaustive = n <= 3
+    exhaustive = n <= EXHAUSTIVE_MAX_N
     dim = 1 << n
 
     transform_dev = 0.0
@@ -190,7 +189,7 @@ def verify_protocol(n: int, trials: int = 20, seed: int = 0) -> VerificationRepo
     else:
         basis_values = sorted(rng.choice(dim, size=min(4, dim), replace=False).tolist())
     alphas = [_unit_alpha(dim, v) for v in basis_values]
-    alphas += [random_state(n, rng).amplitudes for _ in range(trials)]
+    alphas += [random_state(n, rng).amplitudes for _ in range(20 if exhaustive else 5)]
     if exhaustive:
         outcome_values = list(range(1 << (2 * n)))
     else:
@@ -267,6 +266,29 @@ def report_to_dict(report: VerificationReport) -> dict:
 
 def report_to_json(report: VerificationReport) -> str:
     return json.dumps(report_to_dict(report))
+
+
+def report_to_text(report: VerificationReport) -> str:
+    mode = "exhaustive" if report.n <= EXHAUSTIVE_MAX_N else "sampled"
+    lines = [f"protocol verification: n={report.n} ({mode})"]
+    for stage in report.stages_checked:
+        verdict = "PASS" if stage.max_deviation < PASS_TOLERANCE else "FAIL"
+        if stage.name == "sixteen_row_fixture":
+            done = stage.cases if verdict == "PASS" else 0
+            detail = f"fixture rows {done}/{stage.cases}"
+        else:
+            detail = f"{stage.cases} case(s)"
+        lines.append(
+            f"  {verdict}  {stage.name:<20} {detail:<22} max deviation {stage.max_deviation:.3e}"
+        )
+    branch_verdict = "PASS" if report.max_branch_deviation < PASS_TOLERANCE else "FAIL"
+    branch_detail = f"{report.branches_checked} checked"
+    lines.append(
+        f"  {branch_verdict}  {'outcome_branches':<20} {branch_detail:<22} "
+        f"max deviation {report.max_branch_deviation:.3e}"
+    )
+    lines.append("overall: " + ("PASS" if report.passed else "FAIL"))
+    return "\n".join(lines) + "\n"
 
 
 def _dev(a: StateVector, b: StateVector) -> float:

@@ -7,7 +7,6 @@ import pytest
 import qteleport.cli as cli
 from qteleport.cli import EX_FAIL, EX_FILE, EX_OK, EX_STATE, EX_USAGE, main
 from qteleport.statevector import random_state, state_to_dict
-from qteleport.verify import PASS_TOLERANCE, StageCheck, VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -233,16 +232,13 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "--n", "6")
         assert code == EX_USAGE
 
-    def test_deviation_at_the_pass_tolerance_renders_fail(self):
-        # the text verdicts and ``passed`` use the same strict bound
-        stage = StageCheck("hadamard_transform", 4, PASS_TOLERANCE)
-        report = VerificationReport(1, (stage,), 4, PASS_TOLERANCE, passed=False)
-        lines = cli._render_report(report).splitlines()
-        assert lines[1].startswith("  FAIL  hadamard_transform")
-        assert lines[2].startswith("  FAIL  outcome_branches")
-        assert lines[-1] == "overall: FAIL"
-        below = VerificationReport(1, (StageCheck("hadamard_transform", 4, 0.0),), 4, 0.0, True)
-        assert cli._render_report(below).splitlines()[-1] == "overall: PASS"
+    def test_five_qubit_json_reports_the_sampled_branch_count(self, capsys):
+        # the count the verify_n5 benchmark workload requires of each op
+        code, out, _ = run_cli(capsys, "verify", "--n", "5", "--format", "json", "--seed", "0")
+        assert code == EX_OK
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert report["branches_checked"] == 288
 
 
 class TestCircuitCommand:

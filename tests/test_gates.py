@@ -93,7 +93,7 @@ class TestGateMatrices:
             gates_module._H[0, 0] = 9.0
 
 
-class TestApplyGate:
+class TestGateOnOneQubit:
     """One gate on one qubit of a larger register: H as a one-qubit
     Hadamard layer, X and Z through the test-local reference or as a Pauli
     product with one exponent bit set."""
@@ -339,7 +339,7 @@ class TestPauliCorrection:
         xz = on_qubit(on_qubit(psi, X, 1), Z, 1)
         np.testing.assert_allclose(zx.amplitudes, -xz.amplitudes, atol=1e-15)
 
-    def test_offset_base(self):
+    def test_trailing_exponents_leave_qubit_one_alone(self):
         # exponents set only on qubits 2..3 leave qubit 1 alone
         psi = random_state(3, 8)
         corr = PauliCorrection(3, BitChain(3, 0b010), BitChain(3, 0b001))
@@ -372,7 +372,7 @@ class TestPauliCorrection:
                 gate_loop(psi, corr, (x_part, z_part)).amplitudes,
             )
 
-    def test_block_range_validation(self):
+    def test_correction_width_must_match_the_state(self):
         # a correction acts on the whole state: its width must be the state's
         psi = random_state(2, 0)
         for width in (1, 3):
@@ -383,7 +383,7 @@ class TestPauliCorrection:
                 apply_pauli_correction_inverse(psi, corr)
 
 
-class TestScheduleLine:
+class TestRenderSchedule:
     def test_grammar(self):
         ops = [ScheduleOp("H", (3,)), ScheduleOp("CNOT", (1, 4)), ScheduleOp("M", (1, 6))]
         assert render_schedule(ops) == "H q3\nCNOT q1 q4\nM q1..q6\n"

@@ -398,7 +398,7 @@ class TestNormChecks:
 
     def test_require_normalized_raises_with_context(self):
         drifted = StateVector(1, [1.0, 1e-3])
-        with pytest.raises(NormalizationError, match="post-stage"):
+        with pytest.raises(NormalizationError, match=r"^post-stage has norm drift .* \(> 1e-08\)$"):
             drifted.require_normalized(context="post-stage")
 
 

@@ -12,7 +12,10 @@ from qteleport.statevector import StateVector, random_state
 from qteleport.teleport import teleport
 from qteleport.gates import hadamard_layer
 from qteleport.verify import (
+    PASS_TOLERANCE,
     TWO_QUBIT_OUTCOME_TABLE,
+    StageCheck,
+    VerificationReport,
     bell_closed_form,
     hadamard_closed_form,
     outcome_branches,
@@ -20,6 +23,7 @@ from qteleport.verify import (
     pre_measurement_closed_form,
     reassemble_from_branches,
     report_to_json,
+    report_to_text,
     two_qubit_table_state,
     verify_protocol,
 )
@@ -318,25 +322,27 @@ class TestSixteenRowTable:
 class TestVerifyProtocol:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_passes_exhaustively(self, n):
-        report = verify_protocol(n, trials=5, seed=0)
+        report = verify_protocol(n, seed=0)
         assert report.passed
-        assert report.branches_checked == (4**n) * ((1 << n) + 5)
+        assert report.branches_checked == (4**n) * ((1 << n) + 20)
         assert report.max_branch_deviation < 1e-12
         assert all(s.max_deviation < 1e-12 for s in report.stages_checked)
 
     def test_sixteen_row_stage_present_only_for_two_qubits(self):
-        names_2 = {s.name for s in verify_protocol(2, trials=1, seed=0).stages_checked}
-        names_1 = {s.name for s in verify_protocol(1, trials=1, seed=0).stages_checked}
+        names_2 = {s.name for s in verify_protocol(2, seed=0).stages_checked}
+        names_1 = {s.name for s in verify_protocol(1, seed=0).stages_checked}
         assert "sixteen_row_fixture" in names_2
         assert "sixteen_row_fixture" not in names_1
 
     def test_sampled_mode(self):
-        report = verify_protocol(4, trials=2, seed=3)
-        assert report.passed
-        assert 0 < report.branches_checked <= (4**4) * 6
+        # 4 basis and 5 random inputs, 32 outcomes each
+        for n in (4, 5):
+            report = verify_protocol(n, seed=3)
+            assert report.passed
+            assert report.branches_checked == 32 * (4 + 5) == 288
 
     def test_report_serializes(self):
-        report = verify_protocol(1, trials=2, seed=0)
+        report = verify_protocol(1, seed=0)
         parsed = json.loads(report_to_json(report))
         assert parsed["n"] == 1
         assert parsed["passed"] is True
@@ -366,7 +372,7 @@ class TestVerifyProtocol:
             )
 
         monkeypatch.setattr(verify_module, "teleport", corrupted_teleport)
-        report = verify_protocol(1, trials=1, seed=0)
+        report = verify_protocol(1, seed=0)
         assert not report.passed
         failed = {s.name for s in report.stages_checked if s.max_deviation >= 1e-10}
         assert failed == {stage}
@@ -374,5 +380,14 @@ class TestVerifyProtocol:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             verify_protocol(0)
-        with pytest.raises(ValueError):
-            verify_protocol(1, trials=-1)
+
+    def test_deviation_at_the_pass_tolerance_renders_fail(self):
+        # the text verdicts and ``passed`` use the same strict bound
+        stage = StageCheck("hadamard_transform", 4, PASS_TOLERANCE)
+        report = VerificationReport(1, (stage,), 4, PASS_TOLERANCE, passed=False)
+        lines = report_to_text(report).splitlines()
+        assert lines[1].startswith("  FAIL  hadamard_transform")
+        assert lines[2].startswith("  FAIL  outcome_branches")
+        assert lines[-1] == "overall: FAIL"
+        below = VerificationReport(1, (StageCheck("hadamard_transform", 4, 0.0),), 4, 0.0, True)
+        assert report_to_text(below).splitlines()[-1] == "overall: PASS"
