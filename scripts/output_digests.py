@@ -10,6 +10,12 @@ the argv, the exit code, and the sha256 of stdout, a NUL byte and stderr.
 Run it on two trees, each in its own process, and compare the output to
 show that a change leaves every run's bytes and exit code alone.  The exit
 code is 0 only if every run exited 0.
+
+``scripts/output_digests.txt`` holds the output for the committed tree,
+and CI diffs a fresh run against it.  A change that moves bytes on
+purpose regenerates it:
+
+    python scripts/output_digests.py > scripts/output_digests.txt
 """
 
 from __future__ import annotations

@@ -17,7 +17,13 @@ from .statevector import (
     state_from_dict,
 )
 from .teleport import circuit_schedule, render_schedule, teleport, trace_to_json
-from .verify import EXHAUSTIVE_MAX_N, report_to_json, report_to_text, verify_protocol
+from .verify import (
+    EXHAUSTIVE_MAX_N,
+    VERIFY_MAX_N,
+    report_to_json,
+    report_to_text,
+    verify_protocol,
+)
 
 EX_OK = 0
 EX_FAIL = 1
@@ -76,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--format", choices=("json", "text"), default="json")
 
     v = sub.add_parser("verify", help="cross-check the gate pipeline against the closed forms")
-    sweep = f"1-{EXHAUSTIVE_MAX_N} exhaustive, {EXHAUSTIVE_MAX_N + 1}-5 sampled"
+    sweep = f"1-{EXHAUSTIVE_MAX_N} exhaustive, {EXHAUSTIVE_MAX_N + 1}-{VERIFY_MAX_N} sampled"
     v.add_argument("--n", type=int, required=True, help=f"qubits to teleport ({sweep})")
     v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--out", help="write output here instead of stdout")
@@ -120,8 +126,8 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if not 1 <= args.n <= 5:
-        raise CommandError(EX_USAGE, f"--n must be between 1 and 5, got {args.n}")
+    if not 1 <= args.n <= VERIFY_MAX_N:
+        raise CommandError(EX_USAGE, f"--n must be between 1 and {VERIFY_MAX_N}, got {args.n}")
     _check_register_size(args.n)
     report = verify_protocol(args.n, seed=args.seed)
     payload = report_to_json(report) + "\n" if args.format == "json" else report_to_text(report)

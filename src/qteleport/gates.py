@@ -7,6 +7,11 @@ register size and pair list and then reused; a Hadamard layer is one GEMM
 per qubit, real on the float64 view of the amplitudes for every qubit but
 the last, since H is real.  The Pauli products that correct the
 receiver's state are one signed permutation of the amplitudes.
+
+Each layer kernel returns a fresh frozen state, or, given ``out=``, writes
+into a register the caller owns: a CNOT layer writes ``out`` alone, and a
+Hadamard layer ping-pongs between ``out`` and its input's array, so a
+caller with two registers runs every layer without a third.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .bitchain import BitChain
-from .statevector import StateVector
+from .statevector import StateVector, _check_out
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _H = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=np.complex128)
@@ -29,23 +34,31 @@ _H_REAL = _H.real.copy()
 _H_REAL.setflags(write=False)
 
 
-def apply_cnot(state: StateVector, pairs: Iterable[tuple[int, int]]) -> StateVector:
+def apply_cnot(
+    state: StateVector, pairs: Iterable[tuple[int, int]], out: np.ndarray | None = None
+) -> StateVector:
     """Apply a layer of commuting CNOTs, each ``(control, target)`` pair 1-based.
 
     No qubit may appear twice across the pairs, so the gates commute and
     the layer is one permutation of the amplitudes.  An empty layer
-    returns ``state`` itself.
+    returns ``state`` itself.  Without ``out`` the result is a fresh frozen
+    state; given a writable register ``out``, the result is written there
+    and returned as a working state over that array.
     """
     n = state.n_qubits
     pairs = tuple((control, target) for control, target in pairs)
     plan = _cnot_plan(n, pairs)
     if not pairs:
         return state
-    source = state.amplitudes.reshape((2,) * n)
-    out = np.empty_like(source)
+    fresh = out is None
+    if fresh:
+        out = np.empty_like(state.amplitudes)
+    else:
+        _check_out(out, n, state.amplitudes)
+    source, target = state.amplitudes.reshape((2,) * n), out.reshape((2,) * n)
     for write, read in plan:
-        out[write] = source[read]
-    return StateVector._owned(n, out.reshape(-1))
+        target[write] = source[read]
+    return StateVector._owned(n, out, frozen=fresh)
 
 
 @functools.lru_cache(maxsize=64)
@@ -76,10 +89,17 @@ def _cnot_plan(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple,
     return tuple(plan)
 
 
-def hadamard_layer(state: StateVector, qubits: Iterable[int]) -> StateVector:
+def hadamard_layer(
+    state: StateVector, qubits: Iterable[int], out: np.ndarray | None = None
+) -> StateVector:
     """Apply a Hadamard to each listed qubit (1-based; they commute on distinct qubits).
 
-    An empty layer returns ``state`` itself.
+    An empty layer returns ``state`` itself.  Each H reads one buffer and
+    writes another.  Without ``out`` the layer allocates them and returns a
+    fresh frozen state.  Given a writable register ``out``, the layer
+    ping-pongs between ``out`` and the state's own array, which for more
+    than one qubit must then be a writable working array too; the result is
+    a working state over whichever of the two the last H wrote.
     """
     n = state.n_qubits
     qubits = list(qubits)
@@ -89,8 +109,15 @@ def hadamard_layer(state: StateVector, qubits: Iterable[int]) -> StateVector:
     if not qubits:
         return state
     a = state.amplitudes
-    # each H reads one buffer and writes the other; a one-qubit layer needs one
-    buffers = [np.empty_like(a) for _ in range(min(2, len(qubits)))]
+    fresh = out is None
+    if fresh:
+        # a one-qubit layer needs one buffer
+        buffers = [np.empty_like(a) for _ in range(min(2, len(qubits)))]
+    else:
+        _check_out(out, n, a)
+        if len(qubits) > 1 and not a.flags.writeable:
+            raise ValueError("a layer of several H given out= writes its input, which is frozen")
+        buffers = [out, a]
     for step, q in enumerate(qubits):
         out = buffers[step % 2]
         if q == n:
@@ -105,7 +132,7 @@ def hadamard_layer(state: StateVector, qubits: Iterable[int]) -> StateVector:
                 _H_REAL, a.view(np.float64).reshape(shape), out=out.view(np.float64).reshape(shape)
             )
         a = out
-    return StateVector._owned(n, a)
+    return StateVector._owned(n, a, frozen=fresh)
 
 
 @dataclass(frozen=True)

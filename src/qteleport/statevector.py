@@ -3,7 +3,11 @@
 Qubits are numbered 1..n with qubit 1 the most significant bit of a basis
 index, so ``|i>`` for a chain ``i`` sits at array position ``i.value``.
 Operations return fresh vectors; amplitude arrays are frozen on
-construction, which makes states safe to share across threads.
+construction, which makes states safe to share across threads.  The
+exception is a kernel given ``out=``: it writes into a register the caller
+allocated and owns, and returns a working state over that writable array,
+which the caller reuses or freezes in place once it is final (see
+:meth:`StateVector._publish`) and never hands out before that.
 
 Measurement acts on the leading qubits 1..k only, so a measurement takes
 the span length k (a collapse reads it off the outcome's width) rather
@@ -94,18 +98,21 @@ class StateVector:
         self._adopt(n_qubits, np.array(amplitudes, dtype=np.complex128).reshape(-1))
 
     @classmethod
-    def _owned(cls, n_qubits: int, amps: np.ndarray) -> StateVector:
+    def _owned(cls, n_qubits: int, amps: np.ndarray, *, frozen: bool = True) -> StateVector:
         """Wrap a fresh ``complex128`` array a kernel allocated, without copying it.
 
         The array is frozen in place, so it must not be a view of any other
-        state's buffer.
+        state's buffer.  With ``frozen=False`` it stays writable: the state is
+        a working register whose caller owns the array and may overwrite it,
+        so it must not leave that caller until :meth:`_publish` freezes it.
         """
         state = object.__new__(cls)
-        state._adopt(n_qubits, amps)
+        state._adopt(n_qubits, amps, frozen)
         return state
 
-    def _adopt(self, n_qubits: int, amps: np.ndarray) -> None:
-        """Check and freeze ``amps`` and store it; both constructors end here."""
+    def _adopt(self, n_qubits: int, amps: np.ndarray, frozen: bool = True) -> None:
+        """Check ``amps``, freeze it unless told not to, and store it; both
+        constructors end here."""
         _require_capacity(n_qubits)
         if amps.dtype != np.complex128:
             raise ValueError(f"amplitudes must be complex128, got {amps.dtype}")
@@ -119,10 +126,20 @@ class StateVector:
             sqnorm = float(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
         if not math.isfinite(sqnorm) and not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite (no NaN/Inf)")
-        amps.setflags(write=False)
+        if frozen:
+            amps.setflags(write=False)
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "_norm", math.sqrt(sqnorm))
+
+    def _publish(self) -> StateVector:
+        """Freeze a working state's array in place and return the state.
+
+        The norm was formed when the kernel that wrote the array returned;
+        the caller must not have written the array since.
+        """
+        self.amplitudes.setflags(write=False)
+        return self
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("StateVector is immutable")
@@ -149,15 +166,26 @@ def basis_state(label: BitChain) -> StateVector:
     return StateVector._owned(label.width, amps)
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; ``a`` supplies the high-order qubits."""
+def tensor(a: StateVector, b: StateVector, out: np.ndarray | None = None) -> StateVector:
+    """Tensor product; ``a`` supplies the high-order qubits.
+
+    Without ``out`` the product is a fresh frozen state.  Given a writable
+    register ``out``, it is written there and returned as a working state
+    over that array.
+    """
     combined = a.n_qubits + b.n_qubits
     limit = max_qubits()
     if combined > limit:
         raise CapacityError(
             f"tensor product needs {combined} qubits, exceeding the capacity of {limit}"
         )
-    return StateVector._owned(combined, np.kron(a.amplitudes, b.amplitudes))
+    fresh = out is None
+    if fresh:
+        out = np.empty(1 << combined, dtype=np.complex128)
+    else:
+        _check_out(out, combined, a.amplitudes, b.amplitudes)
+    np.multiply.outer(a.amplitudes, b.amplitudes, out=out.reshape(a.amplitudes.size, -1))
+    return StateVector._owned(combined, out, frozen=fresh)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -257,6 +285,27 @@ def state_from_dict(payload: dict) -> StateVector:
         raise ValueError(f"n_qubits must be an integer, got {n!r}")
     amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     return StateVector(n, amps)
+
+
+def _working_registers(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two uninitialized, writable registers of n qubits for the kernels'
+    ``out=``; the capacity is checked before they are allocated."""
+    _require_capacity(n_qubits)
+    return tuple(np.empty(1 << n_qubits, dtype=np.complex128) for _ in range(2))
+
+
+def _check_out(out: np.ndarray, n_qubits: int, *inputs: np.ndarray) -> None:
+    """Reject an ``out=`` array a kernel cannot write its n-qubit result into:
+    the wrong dtype or size, frozen, not contiguous, or overlapping an input."""
+    if out.dtype != np.complex128 or out.shape != (1 << n_qubits,):
+        raise ValueError(
+            f"out must be a complex128 array of {1 << n_qubits} amplitudes, "
+            f"got {out.dtype} of shape {out.shape}"
+        )
+    if not (out.flags.writeable and out.flags.c_contiguous):
+        raise ValueError("out must be a writable, contiguous array")
+    if any(np.may_share_memory(out, a) for a in inputs):
+        raise ValueError("out must not share memory with an input")
 
 
 def _check_same_size(a: StateVector, b: StateVector, op: str) -> None:

@@ -5,9 +5,16 @@ sender's ancillas, 2n+1..3n the receiver's.  A run executes
 :func:`circuit_schedule`: it entangles the 2n ancillas into a generalized
 Bell state, applies the sender's CNOT layer (qubit m controls qubit n+m) and
 Hadamard layer (qubits 1..n), and measures the first 2n qubits.  Each
-layer of commuting gates is one kernel call.  Reshaped to (4^n, 2^n), the
-pre-measurement state's row r is the receiver's unnormalized state for
-outcome r, so the measurement hands the receiver that row, renormalized.
+layer of commuting gates is one kernel call.  The 3n-qubit layers run in
+two working registers the run allocates and owns: the payload tensor Bell
+product is written into one, the CNOT layer permutes it into the other,
+and the Hadamard layer ping-pongs between the two.  Only the stage states
+the trace keeps are published, as frozen states; the post-CNOT state is
+checked but not kept.
+
+Reshaped to (4^n, 2^n), the pre-measurement state's row r is the
+receiver's unnormalized state for outcome r, so the measurement hands the
+receiver that row, renormalized.
 Of the 2n measured bits, the first n select Z exponents and the last n
 select X exponents; the receiver applies the exact inverse of that Pauli
 product to their n-qubit state, so the corrected state equals the payload
@@ -26,6 +33,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .bitchain import BitChain
 from .gates import (
     PauliCorrection,
@@ -42,17 +51,22 @@ from .statevector import (
     project_onto_outcome,
     state_to_dict,
     tensor,
+    _working_registers,
 )
 
 
 @dataclass(frozen=True)
 class TeleportTrace:
-    """Full record of one protocol run; only ``post_cnot_state`` is not serialized."""
+    """Full record of one protocol run; every field is serialized.
+
+    The post-CNOT state is not kept: the run overwrites its register in the
+    Hadamard layer.  ``replay_schedule(circuit_schedule(n)[: 3 * n], psi)``
+    reproduces it.
+    """
 
     n: int
     input_state: StateVector
     bell_state: StateVector
-    post_cnot_state: StateVector
     pre_measurement_state: StateVector
     outcome: MeasurementOutcome
     bob_pre_correction: StateVector
@@ -107,10 +121,7 @@ def teleport(
     # the payload joins, so they run on the 2n-qubit ancilla register.
     bell = _run_ops(basis_state(BitChain(2 * n, 0)), ops[: 2 * n], shift=n)
     bell.require_normalized(context="entangled ancilla state")
-    post_cnot = _run_ops(tensor(psi, bell), ops[2 * n : 3 * n])
-    post_cnot.require_normalized(context="post-CNOT state")
-    pre_measurement = _run_ops(post_cnot, ops[3 * n : 4 * n])
-    pre_measurement.require_normalized(context="pre-measurement state")
+    pre_measurement = _sender_stage(psi, bell, ops[2 * n : 4 * n])
 
     first, last = ops[4 * n].qubits
     if force_outcome is not None:
@@ -124,7 +135,6 @@ def teleport(
         n=n,
         input_state=psi,
         bell_state=bell,
-        post_cnot_state=post_cnot,
         pre_measurement_state=pre_measurement,
         outcome=outcome,
         bob_pre_correction=bob_pre,
@@ -174,7 +184,9 @@ def replay_schedule(ops: list[ScheduleOp], psi: StateVector) -> StateVector:
     """Re-run the gate part of a schedule on ``psi`` plus zeroed ancillas,
     stopping at the measurement marker; reproduces the pre-measurement state."""
     gates = itertools.takewhile(lambda op: op.kind != "M", ops)
-    return _run_ops(tensor(psi, basis_state(BitChain(2 * psi.n_qubits, 0))), gates)
+    ancillas = basis_state(BitChain(2 * psi.n_qubits, 0))
+    registers = _working_registers(3 * psi.n_qubits)
+    return _run_ops(tensor(psi, ancillas, out=registers[0]), gates, registers=registers)._publish()
 
 
 def trace_to_dict(trace: TeleportTrace) -> dict:
@@ -198,24 +210,59 @@ def trace_to_json(trace: TeleportTrace) -> str:
     return json.dumps(trace_to_dict(trace))
 
 
-def _run_ops(state: StateVector, ops: Iterable[ScheduleOp], shift: int = 0) -> StateVector:
+def _sender_stage(psi: StateVector, bell: StateVector, ops: list[ScheduleOp]) -> StateVector:
+    """Run the sender's CNOT and Hadamard layers on psi tensor bell in two
+    working registers: the product is written into one, the CNOT layer
+    permutes it into the other, and the Hadamard layer ping-pongs between
+    the two.  Only the pre-measurement state is published; the spare
+    register is freed on return, before the measurement reads the state."""
+    n = psi.n_qubits
+    registers = _working_registers(3 * n)
+    state = _run_ops(tensor(psi, bell, out=registers[0]), ops[:n], registers=registers)
+    state.require_normalized(context="post-CNOT state")
+    state = _run_ops(state, ops[n:], registers=registers)
+    state.require_normalized(context="pre-measurement state")
+    return state._publish()
+
+
+def _run_ops(
+    state: StateVector,
+    ops: Iterable[ScheduleOp],
+    shift: int = 0,
+    registers: tuple[np.ndarray, np.ndarray] | None = None,
+) -> StateVector:
     """Apply H and CNOT schedule ops in order, numbering qubits ``shift``
     lower than the schedule does; the one place the protocol's gates run.
     Each layer is one kernel call: a run of consecutive H ops is one
     Hadamard layer, and a run of CNOT ops is one CNOT layer until a pair
-    touches a qubit the layer already uses, which starts the next."""
+    touches a qubit the layer already uses, which starts the next.
+
+    Without ``registers`` each layer returns a fresh frozen state.  With
+    them, ``state`` is a working state over one of the two arrays, and each
+    layer writes into the other (a Hadamard layer ping-pongs between both);
+    the result is a working state over one of them."""
     for kind, run in itertools.groupby(ops, key=lambda op: op.kind):
         if kind == "H":
-            state = hadamard_layer(state, [q - shift for op in run for q in op.qubits])
+            qubits = [q - shift for op in run for q in op.qubits]
+            state = hadamard_layer(state, qubits, _spare(state, registers))
         elif kind == "CNOT":
             layer: list[tuple[int, ...]] = []
             for op in run:
                 pair = tuple(q - shift for q in op.qubits)
                 if any(q in used for used in layer for q in pair):
-                    state = apply_cnot(state, layer)
+                    state = apply_cnot(state, layer, _spare(state, registers))
                     layer = []
                 layer.append(pair)
-            state = apply_cnot(state, layer)
+            state = apply_cnot(state, layer, _spare(state, registers))
         else:
             raise ValueError(f"cannot run schedule op {kind!r}")
     return state
+
+
+def _spare(
+    state: StateVector, registers: tuple[np.ndarray, np.ndarray] | None
+) -> np.ndarray | None:
+    """The working register ``state`` does not occupy; None without registers."""
+    if registers is None:
+        return None
+    return registers[1] if state.amplitudes is registers[0] else registers[0]

@@ -20,10 +20,12 @@ import numpy as np
 from .bitchain import BitChain
 from .statevector import StateVector, basis_state, random_state
 from .gates import hadamard_layer
-from .teleport import teleport
+from .teleport import circuit_schedule, replay_schedule, teleport
 
 PASS_TOLERANCE = 1e-10
 EXHAUSTIVE_MAX_N = 3
+# the largest n the verify command accepts; above EXHAUSTIVE_MAX_N it samples
+VERIFY_MAX_N = 5
 
 # Transcribed two-qubit pre-measurement table: for each 4-bit outcome, the
 # receiver-block coefficient of basis label b is sign * alpha[source], listed
@@ -198,6 +200,7 @@ def verify_protocol(n: int, seed: int = 0) -> VerificationReport:
         )
 
     bell_oracle = bell_closed_form(n)
+    through_cnot_layer = circuit_schedule(n)[: 3 * n]
     bell_dev = cnot_dev = layer_dev = reassembly_dev = fixture_dev = 0.0
     uniform_probability = 4.0 ** (-n)
     branches_checked = 0
@@ -218,8 +221,11 @@ def verify_protocol(n: int, seed: int = 0) -> VerificationReport:
             branches_checked += 1
         # The stages before measurement do not depend on the forced outcome,
         # so the last run's states are the ones the pipeline produced for psi.
+        # The trace keeps no post-CNOT state; the same runner replays the
+        # schedule up to the end of the CNOT layer instead.
         bell_dev = max(bell_dev, _dev(trace.bell_state, bell_oracle))
-        cnot_dev = max(cnot_dev, _dev(trace.post_cnot_state, post_cnot_closed_form(a, n)))
+        post_cnot = replay_schedule(through_cnot_layer, psi)
+        cnot_dev = max(cnot_dev, _dev(post_cnot, post_cnot_closed_form(a, n)))
         pre_gate = trace.pre_measurement_state
         pre_oracle = pre_measurement_closed_form(a, n)
         layer_dev = max(layer_dev, _dev(pre_gate, pre_oracle))

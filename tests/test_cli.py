@@ -232,6 +232,19 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "--n", "6")
         assert code == EX_USAGE
 
+    def test_the_n_cap_is_read_from_verify(self, capsys, monkeypatch):
+        # the range check and the --n help text both follow verify.VERIFY_MAX_N
+        assert run_cli(capsys, "verify", "--n", "6")[2] == (
+            "error: --n must be between 1 and 5, got 6\n"
+        )
+        monkeypatch.setattr(cli, "VERIFY_MAX_N", 4)
+        code, _, err = run_cli(capsys, "verify", "--n", "5")
+        assert code == EX_USAGE
+        assert err == "error: --n must be between 1 and 4, got 5\n"
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "(1-3 exhaustive, 4-4 sampled)" in capsys.readouterr().out
+
     def test_five_qubit_json_reports_the_sampled_branch_count(self, capsys):
         # the count the verify_n5 benchmark workload requires of each op
         code, out, _ = run_cli(capsys, "verify", "--n", "5", "--format", "json", "--seed", "0")

@@ -161,6 +161,30 @@ class TestCnot:
         assert not result.amplitudes.flags.writeable
         assert state.amplitudes.tobytes() == random_state(3, 5).amplitudes.tobytes()
 
+    def test_out_receives_the_layer_as_a_working_state(self):
+        state = random_state(3, 5)
+        out = np.empty(8, dtype=np.complex128)
+        result = apply_cnot(state, [(3, 1)], out=out)
+        assert result.amplitudes is out
+        assert out.flags.writeable
+        assert out.tobytes() == apply_cnot(state, [(3, 1)]).amplitudes.tobytes()
+        assert state.amplitudes.tobytes() == random_state(3, 5).amplitudes.tobytes()
+
+    def test_out_is_checked(self):
+        work = random_state(3, 5).amplitudes.copy()
+        state = StateVector._owned(3, work, frozen=False)
+        frozen = np.zeros(8, dtype=np.complex128)
+        frozen.setflags(write=False)
+        for bad in (
+            np.empty(8, dtype=np.complex64),
+            np.empty(16, dtype=np.complex128),
+            np.empty(16, dtype=np.complex128)[::2],
+            frozen,
+            work,
+        ):
+            with pytest.raises(ValueError, match="out must"):
+                apply_cnot(state, [(1, 2)], out=bad)
+
     def test_layer_matches_sequential_gathers_bit_for_bit(self):
         # disjoint pairs commute, so one layer equals the gates one at a time
         rng = np.random.default_rng(7)
@@ -265,6 +289,29 @@ class TestHadamardLayer:
             result = hadamard_layer(state, qubits)
             assert not np.shares_memory(result.amplitudes, state.amplitudes)
             assert not result.amplitudes.flags.writeable
+
+    def test_out_ping_pongs_with_the_input(self):
+        # the first H writes out, the next the input's own array, and so on;
+        # the bytes are those of the fresh layer
+        for qubits in ([1], [3], [3, 1], [1, 2, 3], [2, 3, 1, 4]):
+            psi = random_state(4, 8)
+            work = psi.amplitudes.copy()
+            out = np.empty_like(work)
+            result = hadamard_layer(StateVector._owned(4, work, frozen=False), qubits, out=out)
+            assert result.amplitudes is (out if len(qubits) % 2 else work)
+            assert result.amplitudes.flags.writeable
+            assert result.amplitudes.tobytes() == hadamard_layer(psi, qubits).amplitudes.tobytes()
+
+    def test_out_never_writes_a_frozen_input(self):
+        state = random_state(3, 8)
+        out = np.empty(8, dtype=np.complex128)
+        with pytest.raises(ValueError, match="frozen"):
+            hadamard_layer(state, [1, 2], out=out)
+        assert state.amplitudes.tobytes() == random_state(3, 8).amplitudes.tobytes()
+        # one H reads its input and writes only out
+        result = hadamard_layer(state, [2], out=out)
+        assert result.amplitudes is out
+        assert out.tobytes() == hadamard_layer(state, [2]).amplitudes.tobytes()
 
 
 class TestHadamardClosedForm:

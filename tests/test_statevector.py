@@ -212,6 +212,17 @@ class TestTensor:
         sb = StateVector(1, right)
         assert tensor(sa, sb).norm() == pytest.approx(sa.norm() * sb.norm(), abs=1e-12)
 
+    def test_out_receives_the_product_bit_for_bit(self):
+        a, b = random_state(2, 3), random_state(3, 4)
+        out = np.empty(32, dtype=np.complex128)
+        product = tensor(a, b, out=out)
+        assert product.amplitudes is out
+        assert out.flags.writeable
+        assert out.tobytes() == np.kron(a.amplitudes, b.amplitudes).tobytes()
+        assert tensor(a, b).amplitudes.tobytes() == out.tobytes()
+        with pytest.raises(ValueError, match="out must"):
+            tensor(a, b, out=np.empty(16, dtype=np.complex128))
+
     def test_capacity_error(self, monkeypatch):
         monkeypatch.setenv("QTELEPORT_MAX_QUBITS", "4")
         a = StateVector(3, np.eye(8)[0])

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestBellPreparation:
 class TestAliceLayers:
     def test_cnot_layer_single_qubit_case(self):
         a, b = 0.6, 0.8
-        staged = teleport(StateVector(1, [a, b]), 0).post_cnot_state
+        staged = replay_schedule(circuit_schedule(1)[:3], StateVector(1, [a, b]))
         expected = np.zeros(8)
         expected[[0b000, 0b011]] = a * SQRT_HALF
         expected[[0b110, 0b101]] = b * SQRT_HALF
@@ -101,9 +102,13 @@ class TestAliceLayers:
 
     def test_cnot_layer_identity_on_zero_payload(self):
         for n in (1, 2, 3):
-            trace = teleport(basis_state(BitChain(n, 0)), 0)
-            full = tensor(trace.input_state, trace.bell_state)
-            np.testing.assert_array_equal(trace.post_cnot_state.amplitudes, full.amplitudes)
+            psi = basis_state(BitChain(n, 0))
+            ops = circuit_schedule(n)
+            before = replay_schedule(ops[: 2 * n], psi)
+            after = replay_schedule(ops[: 3 * n], psi)
+            np.testing.assert_array_equal(after.amplitudes, before.amplitudes)
+            full = tensor(psi, teleport(psi, 0).bell_state)
+            np.testing.assert_array_equal(after.amplitudes, full.amplitudes)
 
     def test_hadamard_layer_single_qubit_branches(self):
         a, b = 0.6, 0.8j
@@ -242,6 +247,25 @@ class TestTeleport:
         with pytest.raises(NormalizationError):
             teleport(StateVector(1, [1.0, 0.5]), 0)
 
+    @pytest.mark.parametrize(
+        "kernel, context",
+        [("apply_cnot", "post-CNOT state"), ("hadamard_layer", "pre-measurement state")],
+    )
+    def test_sender_stage_drift_raises(self, monkeypatch, kernel, context):
+        # a layer that writes its register a little too large is caught at its stage
+        real = getattr(teleport_module, kernel)
+
+        def drifting(state, targets, out=None):
+            result = real(state, targets, out)
+            if out is None:  # the Bell stage, on fresh frozen buffers
+                return result
+            result.amplitudes[:] *= 1.001
+            return StateVector._owned(result.n_qubits, result.amplitudes, frozen=False)
+
+        monkeypatch.setattr(teleport_module, kernel, drifting)
+        with pytest.raises(NormalizationError, match=f"^{context} has norm drift"):
+            teleport(random_state(2, 1), 0)
+
     def test_receiver_state_is_a_row_of_the_pre_measurement_state(self):
         # row r of the (4^n, 2^n) reshape, renormalized, is outcome r's receiver state
         for n in range(1, 6):
@@ -273,6 +297,34 @@ class TestTeleport:
         for width in (2 * n - 1, 2 * n + 1, n):
             with pytest.raises(ValueError, match="width"):
                 teleport(psi, force_outcome=BitChain(width, 0))
+
+
+class TestMemory:
+    def test_a_run_peaks_at_two_registers_and_publishes_frozen_states(self):
+        # At n = 6 a 3n-qubit register is 16 * 2^18 B = 4 MiB, far above the
+        # ufunc buffers and temporaries that blur the count at n <= 4.  The
+        # sender stage runs in two registers; a third would read about 3.
+        register = 16 << 18
+        teleport(random_state(6, 0), 0)  # warm up: CNOT slice plans, lazy imports
+        for seed in (1, 2, 3):
+            psi = random_state(6, seed)
+            tracemalloc.start()
+            try:
+                trace = teleport(psi, seed)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.25 * register, f"peak of {peak / register:.2f} registers"
+            states = [
+                trace.input_state,
+                trace.bell_state,
+                trace.pre_measurement_state,
+                trace.bob_pre_correction,
+                trace.bob_post_correction,
+            ]
+            assert not any(state.amplitudes.flags.writeable for state in states)
+            for a, b in itertools.combinations(states, 2):
+                assert not np.shares_memory(a.amplitudes, b.amplitudes)
 
 
 class TestSchedule:
@@ -325,13 +377,13 @@ class TestSchedule:
         calls = []
         hadamard_layer, apply_cnot = teleport_module.hadamard_layer, teleport_module.apply_cnot
 
-        def recording_layer(state, qubits):
+        def recording_layer(state, qubits, out=None):
             calls.append(("H", tuple(qubits), state.n_qubits))
-            return hadamard_layer(state, qubits)
+            return hadamard_layer(state, qubits, out)
 
-        def recording_cnot(state, pairs):
+        def recording_cnot(state, pairs, out=None):
             calls.append(("CNOT", tuple(pairs), state.n_qubits))
-            return apply_cnot(state, pairs)
+            return apply_cnot(state, pairs, out)
 
         monkeypatch.setattr(teleport_module, "hadamard_layer", recording_layer)
         monkeypatch.setattr(teleport_module, "apply_cnot", recording_cnot)

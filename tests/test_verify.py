@@ -9,7 +9,7 @@ import pytest
 
 from qteleport.bitchain import BitChain
 from qteleport.statevector import StateVector, random_state
-from qteleport.teleport import teleport
+from qteleport.teleport import circuit_schedule, replay_schedule, teleport
 from qteleport.gates import hadamard_layer
 from qteleport.verify import (
     PASS_TOLERANCE,
@@ -40,6 +40,12 @@ def random_alpha(n, seed):
 def gate_trace(alpha, n):
     """A pipeline run on the payload; its stage states are the gate route."""
     return teleport(StateVector(n, alpha), 0)
+
+
+def gate_post_cnot(alpha, n):
+    """The gate route's state after the sender's CNOT layer: the schedule
+    replayed up to the end of that layer, as verify_protocol checks it."""
+    return replay_schedule(circuit_schedule(n)[: 3 * n], StateVector(n, alpha))
 
 
 def basis_alpha(n, index):
@@ -131,7 +137,7 @@ class TestClosedForms:
         for n in (1, 2, 3):
             for seed in range(10):
                 alpha = random_alpha(n, seed)
-                staged = gate_trace(alpha, n).post_cnot_state
+                staged = gate_post_cnot(alpha, n)
                 np.testing.assert_allclose(
                     staged.amplitudes, post_cnot_closed_form(alpha, n).amplitudes, atol=1e-12
                 )
@@ -282,7 +288,7 @@ class TestOutcomeBranches:
                     trace.bell_state.amplitudes, bell_closed_form(n).amplitudes, atol=1e-12
                 )
                 np.testing.assert_allclose(
-                    trace.post_cnot_state.amplitudes,
+                    gate_post_cnot(alpha, n).amplitudes,
                     post_cnot_closed_form(alpha, n).amplitudes,
                     atol=1e-12,
                 )
@@ -363,15 +369,22 @@ class TestVerifyProtocol:
         ],
     )
     def test_checks_the_states_the_pipeline_produced(self, monkeypatch, field, stage):
-        # a sign error in one traced stage state fails exactly that stage
+        # a sign error in one stage state the pipeline produced fails exactly that stage
+        def negated(state):
+            return StateVector(state.n_qubits, -state.amplitudes)
+
         def corrupted_teleport(psi, **kwargs):
             trace = teleport(psi, **kwargs)
-            state = getattr(trace, field)
-            return dataclasses.replace(
-                trace, **{field: StateVector(state.n_qubits, -state.amplitudes)}
-            )
+            return dataclasses.replace(trace, **{field: negated(getattr(trace, field))})
 
-        monkeypatch.setattr(verify_module, "teleport", corrupted_teleport)
+        if field == "post_cnot_state":
+            # the trace keeps no post-CNOT state; verify replays the schedule
+            # through the CNOT layer instead
+            monkeypatch.setattr(
+                verify_module, "replay_schedule", lambda ops, psi: negated(replay_schedule(ops, psi))
+            )
+        else:
+            monkeypatch.setattr(verify_module, "teleport", corrupted_teleport)
         report = verify_protocol(1, seed=0)
         assert not report.passed
         failed = {s.name for s in report.stages_checked if s.max_deviation >= 1e-10}
