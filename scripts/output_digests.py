@@ -7,9 +7,11 @@ Usage, from the root of the repository:
 Each run calls ``qteleport.cli.main(argv)`` in this process, imported from
 ``--src`` (default: the ``src/`` beside this script), and prints one line:
 the argv, the exit code, and the sha256 of stdout, a NUL byte and stderr.
-Run it on two trees, each in its own process, and compare the output to
-show that a change leaves every run's bytes and exit code alone.  The exit
-code is 0 only if every run exited 0.
+A run that raises prints the exception's type and message in place of its
+exit code and digest, and the other runs go on.  Run it on two trees, each
+in its own process, and compare the output to show that a change leaves
+every run's bytes and exit code alone.  The exit code is 0 only if every
+run exited 0.
 
 ``scripts/output_digests.txt`` holds the output for the committed tree,
 and CI diffs a fresh run against it.  A change that moves bytes on
@@ -77,8 +79,14 @@ def main() -> int:
     failed = False
     for argv in runs():
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli_main(argv)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli_main(argv)
+        except Exception as exc:
+            message = " ".join(str(exc).split())
+            print(f"{shlex.join(argv)}  raised {type(exc).__name__}: {message}", flush=True)
+            failed = True
+            continue
         digest = hashlib.sha256(
             stdout.getvalue().encode() + b"\0" + stderr.getvalue().encode()
         ).hexdigest()

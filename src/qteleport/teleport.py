@@ -4,13 +4,14 @@ Register layout, big-endian: qubits 1..n hold the payload, n+1..2n the
 sender's ancillas, 2n+1..3n the receiver's.  A run executes
 :func:`circuit_schedule`: it entangles the 2n ancillas into a generalized
 Bell state, applies the sender's CNOT layer (qubit m controls qubit n+m) and
-Hadamard layer (qubits 1..n), and measures the first 2n qubits.  Each
-layer of commuting gates is one kernel call.  The 3n-qubit layers run in
-two working registers the run allocates and owns: the payload tensor Bell
-product is written into one, the CNOT layer permutes it into the other,
-and the Hadamard layer ping-pongs between the two.  Only the stage states
-the trace keeps are published, as frozen states; the post-CNOT state is
-checked but not kept.
+Hadamard layer (qubits 1..n), and measures the first 2n qubits.  One
+runner executes the gates for :func:`teleport` and :func:`replay_schedule`,
+each layer of commuting gates as one kernel call: the Bell pairs on the
+2n-qubit ancilla register, then the 3n-qubit layers in two working
+registers it owns (the payload tensor Bell product is written into one, the
+CNOT layer permutes it into the other, the Hadamard layer ping-pongs between
+the two).  Only the stage states the trace keeps are published, as frozen
+states; the post-CNOT state is checked but not kept.
 
 Reshaped to (4^n, 2^n), the pre-measurement state's row r is the
 receiver's unnormalized state for outcome r, so the measurement hands the
@@ -21,9 +22,9 @@ product to their n-qubit state, so the corrected state equals the payload
 amplitude by amplitude, not just up to phase.
 
 The measurement arguments (a seed, or a forced outcome of width 2n) are
-checked before any gate runs.  Every stage re-checks normalization (drift
-beyond 1e-8 raises) so a buggy gate surfaces immediately instead of being
-hidden by renormalization.
+checked before any gate runs.  The runner checks the payload's norm, and
+every stage re-checks normalization (drift beyond 1e-8 raises) so a buggy
+gate surfaces immediately instead of being hidden by renormalization.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class TeleportTrace:
 
     The post-CNOT state is not kept: the run overwrites its register in the
     Hadamard layer.  ``replay_schedule(circuit_schedule(n)[: 3 * n], psi)``
-    reproduces it.
+    runs the same gates by the same route and reproduces it bit for bit.
     """
 
     n: int
@@ -111,23 +112,15 @@ def teleport(
     4^n branches.
     """
     n = psi.n_qubits
-    psi.require_normalized(context="input state")
     if force_outcome is None and seed is None:
         raise ValueError("teleport needs a seed unless force_outcome is given")
     if force_outcome is not None and force_outcome.width != 2 * n:
         raise ValueError(f"forced outcome width {force_outcome.width} != {2 * n} measured qubits")
-    ops = circuit_schedule(n)
-    # The first 2n ops touch only the ancillas: the Bell pairs exist before
-    # the payload joins, so they run on the 2n-qubit ancilla register.
-    bell = _run_ops(basis_state(BitChain(2 * n, 0)), ops[: 2 * n], shift=n)
-    bell.require_normalized(context="entangled ancilla state")
-    pre_measurement = _sender_stage(psi, bell, ops[2 * n : 4 * n])
-
-    first, last = ops[4 * n].qubits
+    bell, pre_measurement = _run_schedule(psi, circuit_schedule(n))
     if force_outcome is not None:
         outcome, bob_pre = project_onto_outcome(pre_measurement, force_outcome)
     else:
-        outcome, bob_pre = measure_subset(pre_measurement, last - first + 1, seed)
+        outcome, bob_pre = measure_subset(pre_measurement, 2 * n, seed)
 
     bob_post = apply_pauli_correction_inverse(bob_pre, correction_for_outcome(outcome.bits))
     bob_post.require_normalized(context="corrected receiver state")
@@ -181,12 +174,10 @@ def render_schedule(ops: list[ScheduleOp]) -> str:
 
 
 def replay_schedule(ops: list[ScheduleOp], psi: StateVector) -> StateVector:
-    """Re-run the gate part of a schedule on ``psi`` plus zeroed ancillas,
-    stopping at the measurement marker; reproduces the pre-measurement state."""
-    gates = itertools.takewhile(lambda op: op.kind != "M", ops)
-    ancillas = basis_state(BitChain(2 * psi.n_qubits, 0))
-    registers = _working_registers(3 * psi.n_qubits)
-    return _run_ops(tensor(psi, ancillas, out=registers[0]), gates, registers=registers)._publish()
+    """Run the gate part of a schedule on ``psi`` plus zeroed ancillas,
+    stopping at the measurement marker, by the route :func:`teleport` takes;
+    on the protocol's schedule it returns the pre-measurement state bit for bit."""
+    return _run_schedule(psi, ops)[1]
 
 
 def trace_to_dict(trace: TeleportTrace) -> dict:
@@ -210,19 +201,26 @@ def trace_to_json(trace: TeleportTrace) -> str:
     return json.dumps(trace_to_dict(trace))
 
 
-def _sender_stage(psi: StateVector, bell: StateVector, ops: list[ScheduleOp]) -> StateVector:
-    """Run the sender's CNOT and Hadamard layers on psi tensor bell in two
-    working registers: the product is written into one, the CNOT layer
-    permutes it into the other, and the Hadamard layer ping-pongs between
-    the two.  Only the pre-measurement state is published; the spare
-    register is freed on return, before the measurement reads the state."""
+def _run_schedule(psi: StateVector, ops: list[ScheduleOp]) -> tuple[StateVector, StateVector]:
+    """Run a schedule's gate ops, up to the measurement marker, on ``psi``
+    plus 2n zeroed ancillas; return the ancilla state and the final state,
+    published.  The leading ops that act on ancillas alone run on the
+    ancilla register, the rest in two working registers; those before the
+    first H there form the CNOT layer, whose output is checked."""
     n = psi.n_qubits
+    psi.require_normalized(context="input state")
+    gates = list(itertools.takewhile(lambda op: op.kind != "M", ops))
+    bell_ops = list(itertools.takewhile(lambda op: all(n < q <= 3 * n for q in op.qubits), gates))
+    bell = _run_ops(basis_state(BitChain(2 * n, 0)), bell_ops, shift=n)
+    bell.require_normalized(context="entangled ancilla state")
+    rest = gates[len(bell_ops) :]
+    cut = next((i for i, op in enumerate(rest) if op.kind == "H"), len(rest))
     registers = _working_registers(3 * n)
-    state = _run_ops(tensor(psi, bell, out=registers[0]), ops[:n], registers=registers)
+    state = _run_ops(tensor(psi, bell, out=registers[0]), rest[:cut], registers=registers)
     state.require_normalized(context="post-CNOT state")
-    state = _run_ops(state, ops[n:], registers=registers)
+    state = _run_ops(state, rest[cut:], registers=registers)
     state.require_normalized(context="pre-measurement state")
-    return state._publish()
+    return bell, state._publish()
 
 
 def _run_ops(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qteleport.bitchain import BitChain
-from qteleport.gates import apply_pauli_correction
+from qteleport.gates import apply_cnot, apply_pauli_correction
 from qteleport.statevector import (
     NormalizationError,
     StateVector,
@@ -361,17 +361,34 @@ class TestSchedule:
         assert render_schedule(circuit_schedule(3)) == render_schedule(circuit_schedule(3))
 
     def test_replay_matches_pipeline(self):
-        for n in (1, 2, 3):
+        # replay and teleport run the gates by one route, so they agree to the
+        # byte, up to the default capacity
+        for n in range(1, 8):
             psi = random_state(n, 31 + n)
             trace = teleport(psi, 0)
             replayed = replay_schedule(circuit_schedule(n), psi)
-            np.testing.assert_allclose(
-                replayed.amplitudes, trace.pre_measurement_state.amplitudes, atol=1e-12
-            )
+            assert replayed.amplitudes.tobytes() == trace.pre_measurement_state.amplitudes.tobytes()
+
+    def test_replay_through_the_cnot_layer_is_the_post_cnot_state(self):
+        # the state teleport checks as post-CNOT, formed here from the trace's
+        # Bell state by the fresh-buffer kernels
+        for n in range(1, 8):
+            psi = random_state(n, 70 + n)
+            trace = teleport(psi, 0)
+            pairs = [(m, n + m) for m in range(1, n + 1)]
+            post_cnot = apply_cnot(tensor(psi, trace.bell_state), pairs)
+            replayed = replay_schedule(circuit_schedule(n)[: 3 * n], psi)
+            assert replayed.amplitudes.tobytes() == post_cnot.amplitudes.tobytes()
 
     def test_replay_rejects_foreign_ops(self):
         with pytest.raises(ValueError):
             replay_schedule([ScheduleOp("SWAP", (1, 2))], random_state(1, 0))
+
+    def test_replay_rejects_an_unnormalized_payload(self):
+        # the payload is checked before any gate runs, as in teleport
+        psi = StateVector(2, [1.0, 0.5, 0.0, 0.0])
+        with pytest.raises(NormalizationError, match="^input state has norm drift"):
+            replay_schedule(circuit_schedule(2), psi)
 
     def test_teleport_runs_the_schedule(self, monkeypatch):
         calls = []
