@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .statevector import (
     random_state,
     state_from_dict,
 )
-from .teleport import circuit_schedule, render_schedule, teleport, trace_to_json
+from .teleport import circuit_schedule, render_schedule, teleport, trace_json_chunks
 from .verify import (
     EXHAUSTIVE_MAX_N,
     VERIFY_MAX_N,
@@ -113,15 +114,15 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
     psi = _resolve_state(args.state, args.n, args.seed)
     trace = teleport(psi, args.seed)
     if args.format == "json":
-        payload = trace_to_json(trace) + "\n"
+        chunks = itertools.chain(trace_json_chunks(trace), ["\n"])
     else:
-        payload = (
+        chunks = [
             f"n: {trace.n}\n"
             f"outcome: {trace.outcome.bits}\n"
             f"probability: {trace.outcome.probability!r}\n"
             f"fidelity: {trace.fidelity_to_input!r}\n"
-        )
-    _emit(payload, args.out)
+        ]
+    _emit(chunks, args.out)
     return EX_OK if trace.fidelity_to_input >= FIDELITY_THRESHOLD else EX_FAIL
 
 
@@ -131,13 +132,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _check_register_size(args.n)
     report = verify_protocol(args.n, seed=args.seed)
     payload = report_to_json(report) + "\n" if args.format == "json" else report_to_text(report)
-    _emit(payload, args.out)
+    _emit([payload], args.out)
     return EX_OK if report.passed else EX_FAIL
 
 
 def _cmd_circuit(args: argparse.Namespace) -> int:
     _check_register_size(args.n)
-    _emit(render_schedule(circuit_schedule(args.n)), args.out)
+    _emit([render_schedule(circuit_schedule(args.n))], args.out)
     return EX_OK
 
 
@@ -211,13 +212,18 @@ def _renormalized(n: int, amps: np.ndarray, subject: str) -> StateVector:
     return StateVector(n, amps / norm)
 
 
-def _emit(payload: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks to ``out``, or to stdout; a failed write exits 2."""
     if out is None:
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise CommandError(EX_FILE, f"cannot write to stdout: {exc}") from exc
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+            handle.writelines(chunks)
     except OSError as exc:
         raise CommandError(EX_FILE, f"cannot write {out!r}: {exc}") from exc
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -50,10 +50,13 @@ from .statevector import (
     fidelity,
     measure_subset,
     project_onto_outcome,
-    state_to_dict,
     tensor,
     _working_registers,
 )
+
+# Rows of a state's (re, im) amplitude pairs formatted per JSON chunk:
+# 4096 rows are 64 KiB of floats.
+_SLICE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -180,25 +183,40 @@ def replay_schedule(ops: list[ScheduleOp], psi: StateVector) -> StateVector:
     return _run_schedule(psi, ops)[1]
 
 
-def trace_to_dict(trace: TeleportTrace) -> dict:
-    """JSON-ready record of a run; states use the state-vector format."""
-    return {
+def trace_json_chunks(trace: TeleportTrace) -> Iterator[str]:
+    """The run's JSON document, in chunks that join to the whole: a header,
+    then each state in the state-vector format, its amplitudes formatted
+    ``_SLICE_ROWS`` rows at a time, so no chunk holds more than one slice.
+
+    Every number goes through :func:`json.dumps`, so the joined chunks are
+    the bytes ``json.dumps`` gives for the whole document as one dict."""
+    header = {
         "n": trace.n,
         "outcome": str(trace.outcome.bits),
         "probability": trace.outcome.probability,
         "fidelity": trace.fidelity_to_input,
-        "states": {
-            "input": state_to_dict(trace.input_state),
-            "bell": state_to_dict(trace.bell_state),
-            "pre_measurement": state_to_dict(trace.pre_measurement_state),
-            "bob_pre_correction": state_to_dict(trace.bob_pre_correction),
-            "bob_post_correction": state_to_dict(trace.bob_post_correction),
-        },
     }
+    yield json.dumps(header)[:-1] + ', "states": {'
+    states = {
+        "input": trace.input_state,
+        "bell": trace.bell_state,
+        "pre_measurement": trace.pre_measurement_state,
+        "bob_pre_correction": trace.bob_pre_correction,
+        "bob_post_correction": trace.bob_post_correction,
+    }
+    for i, (name, state) in enumerate(states.items()):
+        yield f'{", " if i else ""}"{name}": {{"n_qubits": {state.n_qubits}, "amplitudes": ['
+        pairs = state.amplitudes.view(np.float64).reshape(-1, 2)
+        for start in range(0, len(pairs), _SLICE_ROWS):
+            rows = json.dumps(pairs[start : start + _SLICE_ROWS].tolist())[1:-1]
+            yield f", {rows}" if start else rows
+        yield "]}"
+    yield "}}"
 
 
 def trace_to_json(trace: TeleportTrace) -> str:
-    return json.dumps(trace_to_dict(trace))
+    """The run's JSON document as one string; see :func:`trace_json_chunks`."""
+    return "".join(trace_json_chunks(trace))
 
 
 def _run_schedule(psi: StateVector, ops: list[ScheduleOp]) -> tuple[StateVector, StateVector]:

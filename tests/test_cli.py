@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -317,8 +319,55 @@ class TestBlackBox:
         assert self._run("verify", "--n", "1").returncode == EX_OK
         assert self._run("verify", "--n", "0").returncode == EX_USAGE
 
+    def test_closed_stdout_pipe_exits_2_with_one_error_line(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qteleport", "teleport", "--n", "6", "--seed", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert len(proc.stdout.read(100)) == 100  # 100 of the trace's 12.8 MB
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == EX_FILE
+        assert err.decode() == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+    def test_full_stdout_exits_2_with_one_error_line(self):
+        # the schedule fits in stdout's buffer, so the write fails only on flush
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "qteleport", "circuit", "--n", "1"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        assert result.returncode == EX_FILE
+        assert result.stderr.decode() == (
+            "error: cannot write to stdout: [Errno 28] No space left on device\n"
+        )
+
     def test_fidelity_gate_is_exit_contract(self):
         result = self._run("teleport", "--n", "1", "--state", "1,0", "--seed", "0")
         assert result.returncode in (EX_OK, EX_FAIL)
         assert json.loads(result.stdout)["fidelity"] >= 1 - 1e-10
         assert result.returncode == EX_OK
+
+
+class TestMemory:
+    def test_json_trace_is_written_without_holding_the_document(self, tmp_path):
+        # At n = 6 the two 3n-qubit working registers are 8 MiB; the 12.8 MB
+        # document, or its floats as Python lists, would be several times more.
+        out = str(tmp_path / "trace.json")
+        argv = ["teleport", "--n", "6", "--format", "json", "--out", out]
+        assert main([*argv, "--seed", "0"]) == EX_OK  # warm up: slice plans, lazy imports
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--seed", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EX_OK
+        assert peak < 16 << 20, f"peak of {peak / (1 << 20):.1f} MiB"

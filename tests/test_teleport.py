@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qteleport.cli as cli
 from qteleport.bitchain import BitChain
 from qteleport.gates import apply_cnot, apply_pauli_correction
 from qteleport.statevector import (
@@ -15,6 +16,7 @@ from qteleport.statevector import (
     basis_state,
     probabilities_of_subset,
     random_state,
+    state_to_dict,
     tensor,
 )
 from qteleport.teleport import (
@@ -24,7 +26,7 @@ from qteleport.teleport import (
     render_schedule,
     replay_schedule,
     teleport,
-    trace_to_dict,
+    trace_json_chunks,
     trace_to_json,
 )
 
@@ -424,10 +426,42 @@ class TestSchedule:
             assert [c[0] for c in calls].count("CNOT") == 2
 
 
+def reference_trace_json(trace):
+    """The trace document as one dict through one ``json.dumps``, the way it
+    was built before it was written in slices."""
+    return json.dumps(
+        {
+            "n": trace.n,
+            "outcome": str(trace.outcome.bits),
+            "probability": trace.outcome.probability,
+            "fidelity": trace.fidelity_to_input,
+            "states": {
+                "input": state_to_dict(trace.input_state),
+                "bell": state_to_dict(trace.bell_state),
+                "pre_measurement": state_to_dict(trace.pre_measurement_state),
+                "bob_pre_correction": state_to_dict(trace.bob_pre_correction),
+                "bob_post_correction": state_to_dict(trace.bob_post_correction),
+            },
+        }
+    )
+
+
+def trace_rows(trace):
+    """Amplitude rows of each state the trace document holds."""
+    states = (
+        trace.input_state,
+        trace.bell_state,
+        trace.pre_measurement_state,
+        trace.bob_pre_correction,
+        trace.bob_post_correction,
+    )
+    return [len(state.amplitudes) for state in states]
+
+
 class TestTraceSerialization:
     def test_document_shape(self):
         trace = teleport(random_state(2, 4), 11)
-        payload = trace_to_dict(trace)
+        payload = json.loads(trace_to_json(trace))
         assert payload["n"] == 2
         assert payload["outcome"] == str(trace.outcome.bits)
         assert set(payload["states"]) == {
@@ -439,6 +473,45 @@ class TestTraceSerialization:
         }
         assert payload["states"]["input"]["n_qubits"] == 2
         assert payload["states"]["pre_measurement"]["n_qubits"] == 6
+
+    def test_bytes_equal_one_json_dumps_of_the_whole_document(self):
+        slice_rows = teleport_module._SLICE_ROWS
+        rows = []
+        for n in range(1, 7):
+            trace = teleport(random_state(n, 30 + n), n)
+            assert trace_to_json(trace) == reference_trace_json(trace), f"n = {n}"
+            rows += trace_rows(trace)
+        # states shorter than a slice, exactly one slice, and several slices
+        assert min(rows) < slice_rows
+        assert slice_rows in rows
+        assert max(rows) >= 8 * slice_rows
+
+    @pytest.mark.parametrize("slice_rows", [1, 2, 3, 5])
+    def test_bytes_do_not_depend_on_the_slice_length(self, monkeypatch, slice_rows):
+        # with short slices every state of an n = 2 trace (4 to 64 rows)
+        # ends on, and off, a slice boundary
+        trace = teleport(random_state(2, 6), 6)
+        monkeypatch.setattr(teleport_module, "_SLICE_ROWS", slice_rows)
+        chunks = list(trace_json_chunks(trace))
+        assert "".join(chunks) == reference_trace_json(trace)
+        # a row prints in under 60 characters, a header or state wrapper in 80
+        assert max(map(len, chunks)) < 60 * slice_rows + 80
+
+    def test_negative_zero_keeps_its_sign(self):
+        psi = StateVector(1, np.array([complex(-0.0, 1.0), complex(1.0, -0.0)]) * SQRT_HALF)
+        trace = teleport(psi, 3)
+        document = trace_to_json(trace)
+        assert document == reference_trace_json(trace)
+        assert json.loads(document)["states"]["input"]["amplitudes"][0][0] == 0.0
+        assert '"amplitudes": [[-0.0, 0.7071067811865475]' in document
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cli_out_file_is_the_document_and_a_newline(self, tmp_path, n):
+        path = tmp_path / "trace.json"
+        argv = ["teleport", "--n", str(n), "--format", "json", "--seed", str(n)]
+        assert cli.main([*argv, "--out", str(path)]) == cli.EX_OK
+        trace = teleport(random_state(n, np.random.default_rng(n)), n)
+        assert path.read_text(encoding="utf-8") == reference_trace_json(trace) + "\n"
 
     def test_byte_identical_for_equal_seeds(self):
         first = trace_to_json(teleport(random_state(2, 8), 99))
