@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from typing import Iterable, NoReturn
 
@@ -215,10 +216,12 @@ def _renormalized(n: int, amps: np.ndarray, subject: str) -> StateVector:
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write the chunks to ``out``, or to stdout; a failed write exits 2."""
     if out is None:
+        stdout = sys.stdout
         try:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
+            stdout.writelines(chunks)
+            stdout.flush()
         except OSError as exc:
+            _discard(stdout)
             raise CommandError(EX_FILE, f"cannot write to stdout: {exc}") from exc
         return
     try:
@@ -226,6 +229,21 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
             handle.writelines(chunks)
     except OSError as exc:
         raise CommandError(EX_FILE, f"cannot write {out!r}: {exc}") from exc
+
+
+def _discard(stream) -> None:
+    """Point a stream whose write failed at the null device.  A failed flush
+    leaves its bytes in the buffer, and the interpreter's flush at exit would
+    fail on them again, print "Exception ignored" and exit 120."""
+    try:
+        fd = stream.fileno()
+    except (OSError, ValueError):  # an in-memory stream has no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -26,10 +26,11 @@ sub-normalized vectors (e.g. the closed-form outcome branches in
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +42,10 @@ CAPACITY_ENV_VAR = "QTELEPORT_MAX_QUBITS"
 # Mass below this is treated as "no probability left", i.e. a broken state.
 _ZERO_MASS = 1e-12
 NORM_ATOL = 1e-8
+
+# Rows of (re, im) amplitude pairs formatted per JSON chunk: 4096 rows are
+# 64 KiB of floats.
+_SLICE_ROWS = 4096
 
 
 class CapacityError(RuntimeError):
@@ -272,6 +277,18 @@ def state_to_dict(state: StateVector) -> dict:
         "n_qubits": state.n_qubits,
         "amplitudes": state.amplitudes.view(np.float64).reshape(-1, 2).tolist(),
     }
+
+
+def state_json_chunks(state: StateVector) -> Iterator[str]:
+    """The bytes ``json.dumps(state_to_dict(state))`` gives, in chunks: the
+    wrapper, then the amplitude pairs ``_SLICE_ROWS`` rows at a time, so no
+    chunk holds more than one slice of formatted floats."""
+    yield f'{{"n_qubits": {state.n_qubits}, "amplitudes": ['
+    pairs = state.amplitudes.view(np.float64).reshape(-1, 2)
+    for start in range(0, len(pairs), _SLICE_ROWS):
+        rows = json.dumps(pairs[start : start + _SLICE_ROWS].tolist())[1:-1]
+        yield f", {rows}" if start else rows
+    yield "]}"
 
 
 def state_from_dict(payload: dict) -> StateVector:

@@ -50,14 +50,10 @@ from .statevector import (
     fidelity,
     measure_subset,
     project_onto_outcome,
+    state_json_chunks,
     tensor,
     _working_registers,
 )
-
-# Rows of a state's (re, im) amplitude pairs formatted per JSON chunk:
-# 4096 rows are 64 KiB of floats.
-_SLICE_ROWS = 4096
-
 
 @dataclass(frozen=True)
 class TeleportTrace:
@@ -185,8 +181,8 @@ def replay_schedule(ops: list[ScheduleOp], psi: StateVector) -> StateVector:
 
 def trace_json_chunks(trace: TeleportTrace) -> Iterator[str]:
     """The run's JSON document, in chunks that join to the whole: a header,
-    then each state in the state-vector format, its amplitudes formatted
-    ``_SLICE_ROWS`` rows at a time, so no chunk holds more than one slice.
+    then each state in chunks from :func:`state_json_chunks`, so no chunk
+    holds more than one slice of a state's amplitudes.
 
     Every number goes through :func:`json.dumps`, so the joined chunks are
     the bytes ``json.dumps`` gives for the whole document as one dict."""
@@ -205,12 +201,8 @@ def trace_json_chunks(trace: TeleportTrace) -> Iterator[str]:
         "bob_post_correction": trace.bob_post_correction,
     }
     for i, (name, state) in enumerate(states.items()):
-        yield f'{", " if i else ""}"{name}": {{"n_qubits": {state.n_qubits}, "amplitudes": ['
-        pairs = state.amplitudes.view(np.float64).reshape(-1, 2)
-        for start in range(0, len(pairs), _SLICE_ROWS):
-            rows = json.dumps(pairs[start : start + _SLICE_ROWS].tolist())[1:-1]
-            yield f", {rows}" if start else rows
-        yield "]}"
+        yield f'{", " if i else ""}"{name}": '
+        yield from state_json_chunks(state)
     yield "}}"
 
 

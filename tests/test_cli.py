@@ -297,6 +297,15 @@ class TestCircuitCommand:
         assert "capacity" in err
 
 
+def _stdout_env(buffered: bool) -> dict[str, str]:
+    """This environment with the child's stdout buffered, Python's default,
+    or unbuffered, whatever PYTHONUNBUFFERED is set to here."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 class TestBlackBox:
     """True subprocess runs through the module entry point."""
 
@@ -319,11 +328,13 @@ class TestBlackBox:
         assert self._run("verify", "--n", "1").returncode == EX_OK
         assert self._run("verify", "--n", "0").returncode == EX_USAGE
 
-    def test_closed_stdout_pipe_exits_2_with_one_error_line(self):
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_pipe_exits_2_with_one_error_line(self, buffered):
         proc = subprocess.Popen(
             [sys.executable, "-m", "qteleport", "teleport", "--n", "6", "--seed", "1"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=_stdout_env(buffered),
         )
         try:
             assert len(proc.stdout.read(100)) == 100  # 100 of the trace's 12.8 MB
@@ -335,14 +346,17 @@ class TestBlackBox:
         assert err.decode() == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
-    def test_full_stdout_exits_2_with_one_error_line(self):
-        # the schedule fits in stdout's buffer, so the write fails only on flush
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_full_stdout_exits_2_with_one_error_line(self, buffered):
+        # buffered, the schedule fits in stdout's buffer, so the write fails
+        # only on flush, and its bytes stay there for the flush at exit
         with open("/dev/full", "wb") as full:
             result = subprocess.run(
                 [sys.executable, "-m", "qteleport", "circuit", "--n", "1"],
                 stdout=full,
                 stderr=subprocess.PIPE,
                 timeout=120,
+                env=_stdout_env(buffered),
             )
         assert result.returncode == EX_FILE
         assert result.stderr.decode() == (

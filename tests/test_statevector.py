@@ -23,6 +23,7 @@ from qteleport.statevector import (
     project_onto_outcome,
     random_state,
     state_from_dict,
+    state_json_chunks,
     state_to_dict,
     tensor,
 )
@@ -430,6 +431,18 @@ class TestSerialization:
         expected = [[float(a.real), float(a.imag)] for a in state.amplitudes]
         assert all(type(x) is float for pair in pairs for x in pair)
         assert json.dumps(pairs) == json.dumps(expected)
+
+    @pytest.mark.parametrize("n", [1, 12, 13, 15])
+    def test_json_chunks_are_one_json_dumps_of_the_dict(self, n):
+        # 2, exactly _SLICE_ROWS, two and eight slices of rows at R = 4096
+        amps = random_state(n, n).amplitudes.copy()
+        amps[-1] = complex(-0.0, amps[-1].imag)
+        state = StateVector(n, amps)
+        chunks = list(state_json_chunks(state))
+        assert "".join(chunks) == json.dumps(state_to_dict(state))
+        assert "-0.0" in chunks[-2]
+        # a row prints in under 60 characters
+        assert max(map(len, chunks)) < 60 * statevector_module._SLICE_ROWS
 
     def test_json_round_trip_is_exact(self):
         state = random_state(4, 99)

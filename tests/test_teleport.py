@@ -32,6 +32,7 @@ from qteleport.teleport import (
 
 # the package exports a function named ``teleport``, which shadows the module
 teleport_module = importlib.import_module("qteleport.teleport")
+statevector_module = importlib.import_module("qteleport.statevector")
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -475,7 +476,7 @@ class TestTraceSerialization:
         assert payload["states"]["pre_measurement"]["n_qubits"] == 6
 
     def test_bytes_equal_one_json_dumps_of_the_whole_document(self):
-        slice_rows = teleport_module._SLICE_ROWS
+        slice_rows = statevector_module._SLICE_ROWS
         rows = []
         for n in range(1, 7):
             trace = teleport(random_state(n, 30 + n), n)
@@ -491,7 +492,7 @@ class TestTraceSerialization:
         # with short slices every state of an n = 2 trace (4 to 64 rows)
         # ends on, and off, a slice boundary
         trace = teleport(random_state(2, 6), 6)
-        monkeypatch.setattr(teleport_module, "_SLICE_ROWS", slice_rows)
+        monkeypatch.setattr(statevector_module, "_SLICE_ROWS", slice_rows)
         chunks = list(trace_json_chunks(trace))
         assert "".join(chunks) == reference_trace_json(trace)
         # a row prints in under 60 characters, a header or state wrapper in 80
