@@ -4,14 +4,15 @@ Each layer kernel applies a set of commuting gates in one call: a CNOT
 layer is a list of (control, target) pairs on distinct qubits, applied as
 one permutation of the amplitudes, whose slice plan is built once per
 register size and pair list and then reused; a Hadamard layer is one GEMM
-per qubit, real on the float64 view of the amplitudes for every qubit but
-the last, since H is real.  The Pauli products that correct the
-receiver's state are one signed permutation of the amplitudes.
+per qubit, run block by block, real on the float64 view of the amplitudes
+for every qubit but the last, since H is real.  The Pauli products that
+correct the receiver's state are one signed permutation of the amplitudes.
 
-Each layer kernel returns a fresh frozen state, or, given ``out=``, writes
-into a register the caller owns: a CNOT layer writes ``out`` alone, and a
-Hadamard layer ping-pongs between ``out`` and its input's array, so a
-caller with two registers runs every layer without a third.
+Each layer kernel has one in-place body.  Given a working state (a writable
+array, which only the runner makes), it overwrites that array and returns a
+working state over it; given a frozen state, it copies the array once, runs
+the same body on the copy and returns a fresh frozen state, so a frozen
+input is never written.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .bitchain import BitChain
-from .statevector import StateVector, _check_out
+from .statevector import StateVector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _H = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=np.complex128)
@@ -33,38 +34,39 @@ _H.setflags(write=False)
 _H_REAL = _H.real.copy()
 _H_REAL.setflags(write=False)
 
+# float64 values per Hadamard block: 2^15 of them are 256 KiB, the size of
+# the one buffer each GEMM writes before its block is copied back in place
+_BLOCK_FLOATS = 1 << 15
 
-def apply_cnot(
-    state: StateVector, pairs: Iterable[tuple[int, int]], out: np.ndarray | None = None
-) -> StateVector:
+
+def apply_cnot(state: StateVector, pairs: Iterable[tuple[int, int]]) -> StateVector:
     """Apply a layer of commuting CNOTs, each ``(control, target)`` pair 1-based.
 
     No qubit may appear twice across the pairs, so the gates commute and
     the layer is one permutation of the amplitudes.  An empty layer
-    returns ``state`` itself.  Without ``out`` the result is a fresh frozen
-    state; given a writable register ``out``, the result is written there
-    and returned as a working state over that array.
+    returns ``state`` itself.  The layer runs in place, on a working
+    state's own array or on a copy of a frozen one (see the module note).
     """
     n = state.n_qubits
     pairs = tuple((control, target) for control, target in pairs)
     plan = _cnot_plan(n, pairs)
     if not pairs:
         return state
-    fresh = out is None
-    if fresh:
-        out = np.empty_like(state.amplitudes)
-    else:
-        _check_out(out, n, state.amplitudes)
-    source, target = state.amplitudes.reshape((2,) * n), out.reshape((2,) * n)
+    amps, fresh = _writable(state)
+    register = amps.reshape((2,) * n)
+    # each pattern of control bits permutes its own slice, so one pattern's
+    # write never clobbers another's read; within a slice, numpy buffers a
+    # read that overlaps its write
     for write, read in plan:
-        target[write] = source[read]
-    return StateVector._owned(n, out, frozen=fresh)
+        register[write] = register[read]
+    return StateVector._owned(n, amps, frozen=fresh)
 
 
 @functools.lru_cache(maxsize=64)
 def _cnot_plan(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple, tuple], ...]:
     """Validate a CNOT layer on n qubits and return its ``(write, read)`` index
-    pairs, one slice copy per pattern of control bits.
+    pairs, one slice copy per pattern of control bits but the all-zero one,
+    which is the identity.
 
     Where a control is 1 its target axis is read reversed, which swaps the
     target-0 and -1 halves.  A bad layer raises every time; only valid
@@ -79,7 +81,7 @@ def _cnot_plan(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple,
                 raise ValueError(f"qubit {q} appears twice in the CNOT layer")
             seen.add(q)
     plan = []
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
+    for bits in itertools.islice(itertools.product((0, 1), repeat=len(pairs)), 1, None):
         write, read = [slice(None)] * n, [slice(None)] * n
         for (control, target), bit in zip(pairs, bits):
             write[control - 1] = read[control - 1] = bit
@@ -89,17 +91,14 @@ def _cnot_plan(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple,
     return tuple(plan)
 
 
-def hadamard_layer(
-    state: StateVector, qubits: Iterable[int], out: np.ndarray | None = None
-) -> StateVector:
+def hadamard_layer(state: StateVector, qubits: Iterable[int]) -> StateVector:
     """Apply a Hadamard to each listed qubit (1-based; they commute on distinct qubits).
 
-    An empty layer returns ``state`` itself.  Each H reads one buffer and
-    writes another.  Without ``out`` the layer allocates them and returns a
-    fresh frozen state.  Given a writable register ``out``, the layer
-    ping-pongs between ``out`` and the state's own array, which for more
-    than one qubit must then be a writable working array too; the result is
-    a working state over whichever of the two the last H wrote.
+    An empty layer returns ``state`` itself.  The layer runs in place, on a
+    working state's own array or on a copy of a frozen one (see the module
+    note).  Each H is the GEMM of the whole register cut into blocks of at
+    most ``_BLOCK_FLOATS`` float64 values; each block goes through one small
+    buffer and back.
     """
     n = state.n_qubits
     qubits = list(qubits)
@@ -108,31 +107,42 @@ def hadamard_layer(
             raise ValueError(f"target qubit {q} outside 1..{n}")
     if not qubits:
         return state
-    a = state.amplitudes
-    fresh = out is None
-    if fresh:
-        # a one-qubit layer needs one buffer
-        buffers = [np.empty_like(a) for _ in range(min(2, len(qubits)))]
-    else:
-        _check_out(out, n, a)
-        if len(qubits) > 1 and not a.flags.writeable:
-            raise ValueError("a layer of several H given out= writes its input, which is frozen")
-        buffers = [out, a]
-    for step, q in enumerate(qubits):
-        out = buffers[step % 2]
+    amps, fresh = _writable(state)
+    buffer = np.empty(_BLOCK_FLOATS)
+    for q in qubits:
         if q == n:
             # (2^(n-1), 2) rows times the symmetric H: a GEMM, like every other q;
             # H on (2, 1) columns would leave GEMM and round differently
-            np.matmul(a.reshape(-1, 2), _H, out=out.reshape(-1, 2))
+            rows = amps.reshape(-1, 2)
+            step = _BLOCK_FLOATS // 4
+            for r in range(0, len(rows), step):
+                block = rows[r : r + step]
+                product = buffer.view(np.complex128)[: block.size].reshape(block.shape)
+                np.matmul(block, _H, out=product)
+                block[...] = product
         else:
             # H is real, so one real GEMM on the float64 view (re and im side
             # by side in each row) does the work of the complex one
-            shape = (1 << (q - 1), 2, -1)
-            np.matmul(
-                _H_REAL, a.view(np.float64).reshape(shape), out=out.view(np.float64).reshape(shape)
-            )
-        a = out
-    return StateVector._owned(n, a, frozen=fresh)
+            halves = amps.view(np.float64).reshape(1 << (q - 1), 2, -1)
+            width = halves.shape[2]
+            cols = min(width, _BLOCK_FLOATS // 2)
+            step = max(1, _BLOCK_FLOATS // (2 * width))
+            for r in range(0, len(halves), step):
+                for c in range(0, width, cols):
+                    block = halves[r : r + step, :, c : c + cols]
+                    product = buffer[: block.size].reshape(block.shape)
+                    np.matmul(_H_REAL, block, out=product)
+                    block[...] = product
+    return StateVector._owned(n, amps, frozen=fresh)
+
+
+def _writable(state: StateVector) -> tuple[np.ndarray, bool]:
+    """The array a layer kernel writes in place, and whether it is a fresh
+    copy: a working state's own array, or a copy of a frozen state's."""
+    amps = state.amplitudes
+    if amps.flags.writeable:
+        return amps, False
+    return np.copy(amps), True
 
 
 @dataclass(frozen=True)

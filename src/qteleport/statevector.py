@@ -3,11 +3,11 @@
 Qubits are numbered 1..n with qubit 1 the most significant bit of a basis
 index, so ``|i>`` for a chain ``i`` sits at array position ``i.value``.
 Operations return fresh vectors; amplitude arrays are frozen on
-construction, which makes states safe to share across threads.  The
-exception is a kernel given ``out=``: it writes into a register the caller
-allocated and owns, and returns a working state over that writable array,
-which the caller reuses or freezes in place once it is final (see
-:meth:`StateVector._publish`) and never hands out before that.
+construction, which makes states safe to share across threads.  The one
+exception is the teleport runner's register: it starts as a working state
+over the payload tensor Bell product, the layer kernels overwrite it in
+place, and the runner freezes it once it is final (see
+:meth:`StateVector._publish`) and never hands it out before that.
 
 Measurement acts on the leading qubits 1..k only, so a measurement takes
 the span length k (a collapse reads it off the outcome's width) rather
@@ -108,8 +108,8 @@ class StateVector:
 
         The array is frozen in place, so it must not be a view of any other
         state's buffer.  With ``frozen=False`` it stays writable: the state is
-        a working register whose caller owns the array and may overwrite it,
-        so it must not leave that caller until :meth:`_publish` freezes it.
+        a working register, which a layer kernel given it overwrites in place,
+        so it must not leave its owner until :meth:`_publish` freezes it.
         """
         state = object.__new__(cls)
         state._adopt(n_qubits, amps, frozen)
@@ -171,26 +171,24 @@ def basis_state(label: BitChain) -> StateVector:
     return StateVector._owned(label.width, amps)
 
 
-def tensor(a: StateVector, b: StateVector, out: np.ndarray | None = None) -> StateVector:
-    """Tensor product; ``a`` supplies the high-order qubits.
+def tensor(a: StateVector, b: StateVector) -> StateVector:
+    """Tensor product; ``a`` supplies the high-order qubits."""
+    return _working_tensor(a, b)._publish()
 
-    Without ``out`` the product is a fresh frozen state.  Given a writable
-    register ``out``, it is written there and returned as a working state
-    over that array.
-    """
+
+def _working_tensor(a: StateVector, b: StateVector) -> StateVector:
+    """:func:`tensor` as a working state over a fresh array, which the layer
+    kernels may then overwrite in place; the capacity is checked before the
+    array is allocated."""
     combined = a.n_qubits + b.n_qubits
     limit = max_qubits()
     if combined > limit:
         raise CapacityError(
             f"tensor product needs {combined} qubits, exceeding the capacity of {limit}"
         )
-    fresh = out is None
-    if fresh:
-        out = np.empty(1 << combined, dtype=np.complex128)
-    else:
-        _check_out(out, combined, a.amplitudes, b.amplitudes)
+    out = np.empty(1 << combined, dtype=np.complex128)
     np.multiply.outer(a.amplitudes, b.amplitudes, out=out.reshape(a.amplitudes.size, -1))
-    return StateVector._owned(combined, out, frozen=fresh)
+    return StateVector._owned(combined, out, frozen=False)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -300,29 +298,11 @@ def state_from_dict(payload: dict) -> StateVector:
         raise ValueError(f"not a state-vector document: missing {exc}") from exc
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"n_qubits must be an integer, got {n!r}")
+    # JSON's true and false are not numbers, though Python counts them as ints
+    if any(isinstance(part, bool) for pair in pairs for part in pair):
+        raise ValueError("amplitude parts must be numbers, got a boolean")
     amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     return StateVector(n, amps)
-
-
-def _working_registers(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two uninitialized, writable registers of n qubits for the kernels'
-    ``out=``; the capacity is checked before they are allocated."""
-    _require_capacity(n_qubits)
-    return tuple(np.empty(1 << n_qubits, dtype=np.complex128) for _ in range(2))
-
-
-def _check_out(out: np.ndarray, n_qubits: int, *inputs: np.ndarray) -> None:
-    """Reject an ``out=`` array a kernel cannot write its n-qubit result into:
-    the wrong dtype or size, frozen, not contiguous, or overlapping an input."""
-    if out.dtype != np.complex128 or out.shape != (1 << n_qubits,):
-        raise ValueError(
-            f"out must be a complex128 array of {1 << n_qubits} amplitudes, "
-            f"got {out.dtype} of shape {out.shape}"
-        )
-    if not (out.flags.writeable and out.flags.c_contiguous):
-        raise ValueError("out must be a writable, contiguous array")
-    if any(np.may_share_memory(out, a) for a in inputs):
-        raise ValueError("out must not share memory with an input")
 
 
 def _check_same_size(a: StateVector, b: StateVector, op: str) -> None:

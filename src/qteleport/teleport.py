@@ -7,11 +7,10 @@ Bell state, applies the sender's CNOT layer (qubit m controls qubit n+m) and
 Hadamard layer (qubits 1..n), and measures the first 2n qubits.  One
 runner executes the gates for :func:`teleport` and :func:`replay_schedule`,
 each layer of commuting gates as one kernel call: the Bell pairs on the
-2n-qubit ancilla register, then the 3n-qubit layers in two working
-registers it owns (the payload tensor Bell product is written into one, the
-CNOT layer permutes it into the other, the Hadamard layer ping-pongs between
-the two).  Only the stage states the trace keeps are published, as frozen
-states; the post-CNOT state is checked but not kept.
+2n-qubit ancilla register, then the 3n-qubit layers in place in one working
+register it owns, which starts as the payload tensor Bell product.  Only the
+stage states the trace keeps are published, as frozen states; the post-CNOT
+state is checked but not kept.
 
 Reshaped to (4^n, 2^n), the pre-measurement state's row r is the
 receiver's unnormalized state for outcome r, so the measurement hands the
@@ -34,8 +33,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .bitchain import BitChain
 from .gates import (
     PauliCorrection,
@@ -51,8 +48,7 @@ from .statevector import (
     measure_subset,
     project_onto_outcome,
     state_json_chunks,
-    tensor,
-    _working_registers,
+    _working_tensor,
 )
 
 @dataclass(frozen=True)
@@ -215,8 +211,8 @@ def _run_schedule(psi: StateVector, ops: list[ScheduleOp]) -> tuple[StateVector,
     """Run a schedule's gate ops, up to the measurement marker, on ``psi``
     plus 2n zeroed ancillas; return the ancilla state and the final state,
     published.  The leading ops that act on ancillas alone run on the
-    ancilla register, the rest in two working registers; those before the
-    first H there form the CNOT layer, whose output is checked."""
+    ancilla register, the rest in place in one working register; those
+    before the first H there form the CNOT layer, whose output is checked."""
     n = psi.n_qubits
     psi.require_normalized(context="input state")
     gates = list(itertools.takewhile(lambda op: op.kind != "M", ops))
@@ -225,52 +221,32 @@ def _run_schedule(psi: StateVector, ops: list[ScheduleOp]) -> tuple[StateVector,
     bell.require_normalized(context="entangled ancilla state")
     rest = gates[len(bell_ops) :]
     cut = next((i for i, op in enumerate(rest) if op.kind == "H"), len(rest))
-    registers = _working_registers(3 * n)
-    state = _run_ops(tensor(psi, bell, out=registers[0]), rest[:cut], registers=registers)
+    state = _run_ops(_working_tensor(psi, bell), rest[:cut])
     state.require_normalized(context="post-CNOT state")
-    state = _run_ops(state, rest[cut:], registers=registers)
+    state = _run_ops(state, rest[cut:])
     state.require_normalized(context="pre-measurement state")
     return bell, state._publish()
 
 
-def _run_ops(
-    state: StateVector,
-    ops: Iterable[ScheduleOp],
-    shift: int = 0,
-    registers: tuple[np.ndarray, np.ndarray] | None = None,
-) -> StateVector:
+def _run_ops(state: StateVector, ops: Iterable[ScheduleOp], shift: int = 0) -> StateVector:
     """Apply H and CNOT schedule ops in order, numbering qubits ``shift``
     lower than the schedule does; the one place the protocol's gates run.
     Each layer is one kernel call: a run of consecutive H ops is one
     Hadamard layer, and a run of CNOT ops is one CNOT layer until a pair
-    touches a qubit the layer already uses, which starts the next.
-
-    Without ``registers`` each layer returns a fresh frozen state.  With
-    them, ``state`` is a working state over one of the two arrays, and each
-    layer writes into the other (a Hadamard layer ping-pongs between both);
-    the result is a working state over one of them."""
+    touches a qubit the layer already uses, which starts the next.  A
+    working ``state`` is overwritten in place; a frozen one is not."""
     for kind, run in itertools.groupby(ops, key=lambda op: op.kind):
         if kind == "H":
-            qubits = [q - shift for op in run for q in op.qubits]
-            state = hadamard_layer(state, qubits, _spare(state, registers))
+            state = hadamard_layer(state, [q - shift for op in run for q in op.qubits])
         elif kind == "CNOT":
             layer: list[tuple[int, ...]] = []
             for op in run:
                 pair = tuple(q - shift for q in op.qubits)
                 if any(q in used for used in layer for q in pair):
-                    state = apply_cnot(state, layer, _spare(state, registers))
+                    state = apply_cnot(state, layer)
                     layer = []
                 layer.append(pair)
-            state = apply_cnot(state, layer, _spare(state, registers))
+            state = apply_cnot(state, layer)
         else:
             raise ValueError(f"cannot run schedule op {kind!r}")
     return state
-
-
-def _spare(
-    state: StateVector, registers: tuple[np.ndarray, np.ndarray] | None
-) -> np.ndarray | None:
-    """The working register ``state`` does not occupy; None without registers."""
-    if registers is None:
-        return None
-    return registers[1] if state.amplitudes is registers[0] else registers[0]

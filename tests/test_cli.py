@@ -167,6 +167,14 @@ class TestTeleportCommand:
         assert code == EX_FILE
         assert out == ""
 
+    def test_boolean_amplitude_in_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text('{"n_qubits": 1, "amplitudes": [[true, 0], [0, 0]]}')
+        code, out, err = run_cli(capsys, "teleport", "--n", "1", "--state", str(path), "--seed", "1")
+        assert code == EX_FILE
+        assert str(path) in err
+        assert out == ""
+
     @pytest.mark.parametrize("n_qubits", [22, 10**30])
     def test_qubit_count_over_the_capacity_in_file_exits_2(self, capsys, tmp_path, n_qubits):
         path = tmp_path / "state.json"
@@ -372,8 +380,8 @@ class TestBlackBox:
 
 class TestMemory:
     def test_json_trace_is_written_without_holding_the_document(self, tmp_path):
-        # At n = 6 the two 3n-qubit working registers are 8 MiB; the 12.8 MB
-        # document, or its floats as Python lists, would be several times more.
+        # At n = 6 a 3n-qubit register is 4 MiB; the 12.8 MB document, or its
+        # floats as Python lists, would be several times more.
         out = str(tmp_path / "trace.json")
         argv = ["teleport", "--n", "6", "--format", "json", "--out", out]
         assert main([*argv, "--seed", "0"]) == EX_OK  # warm up: slice plans, lazy imports

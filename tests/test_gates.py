@@ -44,8 +44,20 @@ def gathered_cnot(state, control, target):
     return state.amplitudes[source]
 
 
-def no_allocation(*args, **kwargs):
-    raise AssertionError("the kernel allocated before it validated its qubits")
+def working(state):
+    """A working copy of ``state``, as the runner holds its register."""
+    return StateVector._owned(state.n_qubits, state.amplitudes.copy(), frozen=False)
+
+
+def forbid_allocation(monkeypatch):
+    """Make the kernels' allocations raise: the copy of a frozen input and
+    the Hadamard layer's block buffer."""
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the kernel allocated before it validated its qubits")
+
+    for name in ("copy", "empty"):
+        monkeypatch.setattr(np, name, no_allocation)
 
 
 def pauli(x_bit, z_bit):
@@ -111,9 +123,10 @@ class TestGateOnOneQubit:
         np.testing.assert_allclose(signed.amplitudes, [SQRT_HALF, 0, -SQRT_HALF, 0], atol=1e-15)
 
     def test_target_out_of_range(self, monkeypatch):
-        # every target is checked before the layer allocates its buffers
+        # every target is checked before the layer copies its input or
+        # allocates its buffer
         state = random_state(3, 1)
-        monkeypatch.setattr(np, "empty_like", no_allocation)
+        forbid_allocation(monkeypatch)
         for qubits in ([0], [4], [1, 4], [1, 4, 2]):
             with pytest.raises(ValueError):
                 hadamard_layer(state, qubits)
@@ -147,12 +160,16 @@ class TestCnot:
         np.testing.assert_allclose(result.amplitudes, expected, atol=1e-15)
 
     def test_matches_index_gather_bit_for_bit(self):
-        for n in range(2, 6):
+        # n = 16 is the register the Hadamard tests use to cross blocks
+        cases = [(n, list(itertools.permutations(range(1, n + 1), 2))) for n in range(2, 6)]
+        cases.append((16, [(1, 16), (16, 1), (8, 9), (9, 2)]))
+        for n, pairs in cases:
             state = random_state(n, 40 + n)
-            for control, target in itertools.permutations(range(1, n + 1), 2):
-                result = apply_cnot(state, [(control, target)])
-                expected = gathered_cnot(state, control, target)
-                assert result.amplitudes.tobytes() == expected.tobytes()
+            for control, target in pairs:
+                expected = gathered_cnot(state, control, target).tobytes()
+                for given in (state, working(state)):
+                    result = apply_cnot(given, [(control, target)])
+                    assert result.amplitudes.tobytes() == expected, f"n={n} pair={(control, target)}"
 
     def test_output_is_a_fresh_frozen_buffer(self):
         state = random_state(3, 5)
@@ -161,29 +178,13 @@ class TestCnot:
         assert not result.amplitudes.flags.writeable
         assert state.amplitudes.tobytes() == random_state(3, 5).amplitudes.tobytes()
 
-    def test_out_receives_the_layer_as_a_working_state(self):
+    def test_a_working_input_is_overwritten_in_place(self):
         state = random_state(3, 5)
-        out = np.empty(8, dtype=np.complex128)
-        result = apply_cnot(state, [(3, 1)], out=out)
-        assert result.amplitudes is out
-        assert out.flags.writeable
-        assert out.tobytes() == apply_cnot(state, [(3, 1)]).amplitudes.tobytes()
-        assert state.amplitudes.tobytes() == random_state(3, 5).amplitudes.tobytes()
-
-    def test_out_is_checked(self):
-        work = random_state(3, 5).amplitudes.copy()
-        state = StateVector._owned(3, work, frozen=False)
-        frozen = np.zeros(8, dtype=np.complex128)
-        frozen.setflags(write=False)
-        for bad in (
-            np.empty(8, dtype=np.complex64),
-            np.empty(16, dtype=np.complex128),
-            np.empty(16, dtype=np.complex128)[::2],
-            frozen,
-            work,
-        ):
-            with pytest.raises(ValueError, match="out must"):
-                apply_cnot(state, [(1, 2)], out=bad)
+        work = working(state)
+        result = apply_cnot(work, [(3, 1)])
+        assert result.amplitudes is work.amplitudes
+        assert result.amplitudes.flags.writeable
+        assert result.amplitudes.tobytes() == apply_cnot(state, [(3, 1)]).amplitudes.tobytes()
 
     def test_layer_matches_sequential_gathers_bit_for_bit(self):
         # disjoint pairs commute, so one layer equals the gates one at a time
@@ -196,7 +197,8 @@ class TestCnot:
                 expected = state.amplitudes
                 for control, target in pairs:
                     expected = gathered_cnot(StateVector(n, expected), control, target)
-                assert apply_cnot(state, pairs).amplitudes.tobytes() == expected.tobytes()
+                for given in (state, working(state)):
+                    assert apply_cnot(given, pairs).amplitudes.tobytes() == expected.tobytes()
 
     def test_cached_plan_fits_other_states_and_registers(self):
         # the slice plan is built once per (n, pairs); the same pairs on a
@@ -232,7 +234,7 @@ class TestCnot:
 
     def test_overlapping_pairs_rejected_before_allocation(self, monkeypatch):
         state = random_state(4, 2)
-        monkeypatch.setattr(np, "empty_like", no_allocation)
+        forbid_allocation(monkeypatch)
         shared_control = [(1, 2), (1, 3)]
         shared_target = [(1, 3), (2, 3)]
         target_is_a_control = [(1, 2), (2, 3)]
@@ -270,48 +272,42 @@ class TestHadamardLayer:
 
     def test_matches_per_qubit_reference_bit_for_bit(self):
         # one H at a time through the reference, in the layer's order; the
-        # single-qubit layers include q = n, which the kernel runs as rows
-        for n in range(1, 9):
+        # single-qubit layers include q = n, which the kernel runs as rows.
+        # At n = 16 the register is 2^17 floats, several of the kernel's
+        # blocks, which q = 1 cuts by columns and q = 9 and q = 16 by rows.
+        cases = [
+            (n, [[q] for q in range(1, n + 1)] + [list(range(1, n + 1)), list(range(n, 0, -1))])
+            for n in range(1, 9)
+        ]
+        cases.append((16, [[1], [16], [9], list(range(1, 17))]))
+        for n, layers in cases:
             psi = random_state(n, 40 + n)
-            layers = [[q] for q in range(1, n + 1)]
-            layers += [list(range(1, n + 1)), list(range(n, 0, -1))]
             for qubits in layers:
                 expected = psi
                 for q in qubits:
                     expected = on_qubit(expected, H, q)
-                assert hadamard_layer(psi, qubits).amplitudes.tobytes() == (
-                    expected.amplitudes.tobytes()
-                ), f"n={n} qubits={qubits}"
+                for given in (psi, working(psi)):
+                    assert hadamard_layer(given, qubits).amplitudes.tobytes() == (
+                        expected.amplitudes.tobytes()
+                    ), f"n={n} qubits={qubits}"
 
     def test_output_is_a_fresh_frozen_buffer(self):
-        for qubits in ([1], [2], [3, 1]):
+        for qubits in ([1], [2], [3, 1], [1, 2, 3]):
             state = random_state(3, 8)
             result = hadamard_layer(state, qubits)
             assert not np.shares_memory(result.amplitudes, state.amplitudes)
             assert not result.amplitudes.flags.writeable
+            assert state.amplitudes.tobytes() == random_state(3, 8).amplitudes.tobytes()
 
-    def test_out_ping_pongs_with_the_input(self):
-        # the first H writes out, the next the input's own array, and so on;
-        # the bytes are those of the fresh layer
+    def test_a_working_input_is_overwritten_in_place(self):
+        # every H writes the input's own array; the bytes are the fresh layer's
         for qubits in ([1], [3], [3, 1], [1, 2, 3], [2, 3, 1, 4]):
             psi = random_state(4, 8)
-            work = psi.amplitudes.copy()
-            out = np.empty_like(work)
-            result = hadamard_layer(StateVector._owned(4, work, frozen=False), qubits, out=out)
-            assert result.amplitudes is (out if len(qubits) % 2 else work)
+            work = working(psi)
+            result = hadamard_layer(work, qubits)
+            assert result.amplitudes is work.amplitudes
             assert result.amplitudes.flags.writeable
             assert result.amplitudes.tobytes() == hadamard_layer(psi, qubits).amplitudes.tobytes()
-
-    def test_out_never_writes_a_frozen_input(self):
-        state = random_state(3, 8)
-        out = np.empty(8, dtype=np.complex128)
-        with pytest.raises(ValueError, match="frozen"):
-            hadamard_layer(state, [1, 2], out=out)
-        assert state.amplitudes.tobytes() == random_state(3, 8).amplitudes.tobytes()
-        # one H reads its input and writes only out
-        result = hadamard_layer(state, [2], out=out)
-        assert result.amplitudes is out
-        assert out.tobytes() == hadamard_layer(state, [2]).amplitudes.tobytes()
 
 
 class TestHadamardClosedForm:

@@ -213,16 +213,15 @@ class TestTensor:
         sb = StateVector(1, right)
         assert tensor(sa, sb).norm() == pytest.approx(sa.norm() * sb.norm(), abs=1e-12)
 
-    def test_out_receives_the_product_bit_for_bit(self):
+    def test_working_product_is_the_published_product_bit_for_bit(self):
+        # the runner's register starts as the working product; tensor publishes it
         a, b = random_state(2, 3), random_state(3, 4)
-        out = np.empty(32, dtype=np.complex128)
-        product = tensor(a, b, out=out)
-        assert product.amplitudes is out
-        assert out.flags.writeable
-        assert out.tobytes() == np.kron(a.amplitudes, b.amplitudes).tobytes()
-        assert tensor(a, b).amplitudes.tobytes() == out.tobytes()
-        with pytest.raises(ValueError, match="out must"):
-            tensor(a, b, out=np.empty(16, dtype=np.complex128))
+        work = statevector_module._working_tensor(a, b)
+        published = tensor(a, b)
+        assert work.amplitudes.flags.writeable
+        assert not published.amplitudes.flags.writeable
+        assert work.amplitudes.tobytes() == np.kron(a.amplitudes, b.amplitudes).tobytes()
+        assert published.amplitudes.tobytes() == work.amplitudes.tobytes()
 
     def test_capacity_error(self, monkeypatch):
         monkeypatch.setenv("QTELEPORT_MAX_QUBITS", "4")
@@ -461,6 +460,8 @@ class TestSerialization:
             '{"amplitudes": [[1.0, 0.0]]}',
             '{"n_qubits": "two", "amplitudes": [[1, 0], [0, 0]]}',
             '{"n_qubits": true, "amplitudes": [[1, 0], [0, 0]]}',
+            '{"n_qubits": 1, "amplitudes": [[true, 0], [0, 0]]}',
+            '{"n_qubits": 1, "amplitudes": [[1, 0], [0, false]]}',
         ):
             with pytest.raises(ValueError):
                 state_from_dict(json.loads(text))
