@@ -299,6 +299,16 @@ class TestHadamardLayer:
             assert not result.amplitudes.flags.writeable
             assert state.amplitudes.tobytes() == random_state(3, 8).amplitudes.tobytes()
 
+    def test_out_never_writes_a_frozen_input(self):
+        # a frozen input is copied once and read; its array stays read-only
+        # and its bytes unchanged, after one H and after several
+        for qubits in ([2], [1, 2], [3, 1, 2]):
+            state = random_state(3, 8)
+            result = hadamard_layer(state, qubits)
+            assert result.amplitudes is not state.amplitudes
+            assert not state.amplitudes.flags.writeable
+            assert state.amplitudes.tobytes() == random_state(3, 8).amplitudes.tobytes()
+
     def test_a_working_input_is_overwritten_in_place(self):
         # every H writes the input's own array; the bytes are the fresh layer's
         for qubits in ([1], [3], [3, 1], [1, 2, 3], [2, 3, 1, 4]):
