@@ -3,9 +3,10 @@
 Each layer kernel applies a set of commuting gates in one call: a CNOT
 layer is a list of (control, target) pairs on distinct qubits, applied as
 one permutation of the amplitudes, whose slice plan is built once per
-register size and pair list and then reused; a Hadamard layer is one GEMM
-per qubit, run block by block, real on the float64 view of the amplitudes
-for every qubit but the last, since H is real.  The Pauli products that
+register size and pair list and then reused; a Hadamard layer is one real
+butterfly per qubit, (a, b) -> ((a + b)/sqrt(2), (a - b)/sqrt(2)) on the
+float64 view of the amplitudes, run block by block.  It makes no BLAS call,
+so its bytes do not depend on the BLAS build.  The Pauli products that
 correct the receiver's state are one signed permutation of the amplitudes.
 
 Each layer kernel has one in-place body.  Given a working state (a writable
@@ -29,13 +30,9 @@ from .bitchain import BitChain
 from .statevector import StateVector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-_H = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=np.complex128)
-_H.setflags(write=False)
-_H_REAL = _H.real.copy()
-_H_REAL.setflags(write=False)
 
-# float64 values per Hadamard block: 2^15 of them are 256 KiB, the size of
-# the one buffer each GEMM writes before its block is copied back in place
+# float64 values per Hadamard block half: 2^15 of them are 256 KiB, the
+# one buffer that holds a block's differences while its sums go in place
 _BLOCK_FLOATS = 1 << 15
 
 
@@ -96,9 +93,11 @@ def hadamard_layer(state: StateVector, qubits: Iterable[int]) -> StateVector:
 
     An empty layer returns ``state`` itself.  The layer runs in place, on a
     working state's own array or on a copy of a frozen one (see the module
-    note).  Each H is the GEMM of the whole register cut into blocks of at
-    most ``_BLOCK_FLOATS`` float64 values; each block goes through one small
-    buffer and back.
+    note).  Each H on qubit q maps a float64 value a where q is 0 and its
+    partner b where q is 1 to ((a + b)/sqrt(2), (a - b)/sqrt(2)); H is real,
+    so real and imaginary parts transform alike.  The pairs go in blocks of
+    at most ``_BLOCK_FLOATS`` per half, whose differences go through one
+    small buffer.
     """
     n = state.n_qubits
     qubits = list(qubits)
@@ -110,29 +109,19 @@ def hadamard_layer(state: StateVector, qubits: Iterable[int]) -> StateVector:
     amps, fresh = _writable(state)
     buffer = np.empty(_BLOCK_FLOATS)
     for q in qubits:
-        if q == n:
-            # (2^(n-1), 2) rows times the symmetric H: a GEMM, like every other q;
-            # H on (2, 1) columns would leave GEMM and round differently
-            rows = amps.reshape(-1, 2)
-            step = _BLOCK_FLOATS // 4
-            for r in range(0, len(rows), step):
-                block = rows[r : r + step]
-                product = buffer.view(np.complex128)[: block.size].reshape(block.shape)
-                np.matmul(block, _H, out=product)
-                block[...] = product
-        else:
-            # H is real, so one real GEMM on the float64 view (re and im side
-            # by side in each row) does the work of the complex one
-            halves = amps.view(np.float64).reshape(1 << (q - 1), 2, -1)
-            width = halves.shape[2]
-            cols = min(width, _BLOCK_FLOATS // 2)
-            step = max(1, _BLOCK_FLOATS // (2 * width))
-            for r in range(0, len(halves), step):
-                for c in range(0, width, cols):
-                    block = halves[r : r + step, :, c : c + cols]
-                    product = buffer[: block.size].reshape(block.shape)
-                    np.matmul(_H_REAL, block, out=product)
-                    block[...] = product
+        halves = amps.view(np.float64).reshape(1 << (q - 1), 2, -1)
+        width = halves.shape[2]
+        cols = min(width, _BLOCK_FLOATS)
+        step = _BLOCK_FLOATS // cols
+        for r in range(0, len(halves), step):
+            for c in range(0, width, cols):
+                a = halves[r : r + step, 0, c : c + cols]
+                b = halves[r : r + step, 1, c : c + cols]
+                diff = buffer[: a.size].reshape(a.shape)
+                np.subtract(a, b, out=diff)
+                a += b
+                a *= _SQRT_HALF
+                np.multiply(diff, _SQRT_HALF, out=b)
     return StateVector._owned(n, amps, frozen=fresh)
 
 
