@@ -102,6 +102,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return handlers[args.command](args)
+    except SystemExit as done:  # -h, after argparse printed the help
+        return done.code
     except CommandError as err:
         print(f"error: {err.message}", file=sys.stderr)
         return err.code
@@ -205,7 +207,8 @@ def _renormalized(n: int, amps: np.ndarray, subject: str) -> StateVector:
     """The given amplitudes divided by their norm, noted on stderr when that
     changes them; a norm off by more than LITERAL_NORM_ATOL exits 3, its
     message starting with ``subject``."""
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):  # a norm too large for a float is inf: exit 3
+        norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > LITERAL_NORM_ATOL:
         raise CommandError(EX_STATE, f"{subject} {norm!r}, off by more than {LITERAL_NORM_ATOL}")
     if norm != 1.0:

@@ -46,6 +46,8 @@ NORM_ATOL = 1e-8
 # Rows of (re, im) amplitude pairs formatted per JSON chunk: 4096 rows are
 # 64 KiB of floats.
 _SLICE_ROWS = 4096
+# Amplitudes squared per block of rows for the Born probabilities: 256 KiB.
+_BORN_BLOCK = 1 << 15
 
 
 class CapacityError(RuntimeError):
@@ -200,11 +202,15 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 def probabilities_of_subset(state: StateVector, k: int) -> np.ndarray:
     """Born probabilities of the outcomes on the leading qubits ``1..k``
     (1 <= k <= n) as a float64 array indexed by outcome value: the row sums
-    of |amplitude|^2 over the state reshaped to (2^k, 2^(n-k)); bit m of an
-    outcome is qubit m."""
+    of |amplitude|^2 over the state reshaped to (2^k, 2^(n-k)), a block of
+    rows at a time; bit m of an outcome is qubit m."""
     if not 1 <= k <= state.n_qubits:
         raise ValueError(f"cannot measure {k} leading qubits of {state.n_qubits}")
-    probs = (np.abs(state.amplitudes.reshape(1 << k, -1)) ** 2).sum(axis=1)
+    rows = state.amplitudes.reshape(1 << k, -1)
+    step = max(1, _BORN_BLOCK // rows.shape[1])
+    probs = np.empty(len(rows))
+    for start in range(0, len(rows), step):
+        np.sum(np.abs(rows[start : start + step]) ** 2, axis=1, out=probs[start : start + step])
     if float(probs.sum()) < _ZERO_MASS:
         raise NormalizationError("state carries no probability mass; it was not normalized")
     return probs

@@ -1,16 +1,15 @@
 """End-to-end teleportation of an n-qubit state.
 
 Register layout, big-endian: qubits 1..n hold the payload, n+1..2n the
-sender's ancillas, 2n+1..3n the receiver's.  A run executes
-:func:`circuit_schedule`: it entangles the 2n ancillas into a generalized
-Bell state, applies the sender's CNOT layer (qubit m controls qubit n+m) and
-Hadamard layer (qubits 1..n), and measures the first 2n qubits.  One
-runner executes the gates for :func:`teleport` and :func:`replay_schedule`,
-each layer of commuting gates as one kernel call: the Bell pairs on the
-2n-qubit ancilla register, then the 3n-qubit layers in place in one working
-register it owns, which starts as the payload tensor Bell product.  Only the
-stage states the trace keeps are published, as frozen states; the post-CNOT
-state is checked but not kept.
+sender's ancillas, 2n+1..3n the receiver's.  A run executes one table of
+four gate layers, which :func:`circuit_schedule` lists op by op: the Bell
+pairs' H and CNOT layers on the ancillas, then the sender's CNOT layer
+(qubit m controls qubit n+m) and Hadamard layer (qubits 1..n); then it
+measures the first 2n qubits.  One runner executes a leading slice of the
+table for :func:`teleport` and :func:`replay_schedule`, one kernel call per
+layer: the Bell layers on the 2n-qubit ancilla register, the sender's in
+place in one working register that starts as the payload tensor Bell state.
+The trace's states are published frozen; the post-CNOT state is not kept.
 
 Reshaped to (4^n, 2^n), the pre-measurement state's row r is the
 receiver's unnormalized state for outcome r, so the measurement hands the
@@ -28,10 +27,9 @@ gate surfaces immediately instead of being hidden by renormalization.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .bitchain import BitChain
 from .gates import (
@@ -57,7 +55,8 @@ class TeleportTrace:
 
     The post-CNOT state is not kept: the run overwrites its register in the
     Hadamard layer.  ``replay_schedule(circuit_schedule(n)[: 3 * n], psi)``
-    runs the same gates by the same route and reproduces it bit for bit.
+    runs the first three layers by the same route and reproduces it bit for
+    bit.
     """
 
     n: int
@@ -111,7 +110,7 @@ def teleport(
         raise ValueError("teleport needs a seed unless force_outcome is given")
     if force_outcome is not None and force_outcome.width != 2 * n:
         raise ValueError(f"forced outcome width {force_outcome.width} != {2 * n} measured qubits")
-    bell, pre_measurement = _run_schedule(psi, circuit_schedule(n))
+    bell, pre_measurement = _run_schedule(psi, _layers(n))
     if force_outcome is not None:
         outcome, bob_pre = project_onto_outcome(pre_measurement, force_outcome)
     else:
@@ -132,17 +131,10 @@ def teleport(
 
 
 def circuit_schedule(n: int) -> list[ScheduleOp]:
-    """Gate schedule of the protocol on 3n qubits, in causal order."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    ops: list[ScheduleOp] = []
-    ops += [ScheduleOp("H", (n + m,)) for m in range(1, n + 1)]
-    ops += [ScheduleOp("CNOT", (n + m, 2 * n + m)) for m in range(1, n + 1)]
-    ops += [ScheduleOp("CNOT", (m, n + m)) for m in range(1, n + 1)]
-    ops += [ScheduleOp("H", (m,)) for m in range(1, n + 1)]
-    ops.append(ScheduleOp("M", (1, 2 * n)))
-    ops.append(ScheduleOp("CORRECT", (2 * n + 1, 3 * n)))
-    return ops
+    """Gate schedule of the protocol on 3n qubits, in causal order: the four
+    gate layers one gate per op, then the measurement and correction markers."""
+    ops = [ScheduleOp(kind, qubits) for kind, gates in _layers(n) for qubits in gates]
+    return ops + [ScheduleOp("M", (1, 2 * n)), ScheduleOp("CORRECT", (2 * n + 1, 3 * n))]
 
 
 def render_schedule(ops: list[ScheduleOp]) -> str:
@@ -169,10 +161,16 @@ def render_schedule(ops: list[ScheduleOp]) -> str:
 
 
 def replay_schedule(ops: list[ScheduleOp], psi: StateVector) -> StateVector:
-    """Run the gate part of a schedule on ``psi`` plus zeroed ancillas,
-    stopping at the measurement marker, by the route :func:`teleport` takes;
-    on the protocol's schedule it returns the pre-measurement state bit for bit."""
-    return _run_schedule(psi, ops)[1]
+    """Run ``ops``, whole layers from the start of ``circuit_schedule(n)``, on
+    ``psi`` plus zeroed ancillas by :func:`teleport`'s route: the whole
+    schedule gives the run's pre-measurement state bit for bit, ``[: 3 * n]``
+    its post-CNOT state.  Other lists raise :class:`ValueError` before a gate runs."""
+    n = psi.n_qubits
+    depth = min(len(ops) // n, 4)
+    # every layer is n ops; the M and CORRECT markers may follow the fourth
+    if ops != circuit_schedule(n)[: len(ops)] or (depth < 4 and len(ops) != depth * n):
+        raise ValueError(f"{len(ops)} ops are not whole layers of the {n}-qubit schedule")
+    return _run_schedule(psi, _layers(n)[:depth])[1]
 
 
 def trace_json_chunks(trace: TeleportTrace) -> Iterator[str]:
@@ -207,46 +205,38 @@ def trace_to_json(trace: TeleportTrace) -> str:
     return "".join(trace_json_chunks(trace))
 
 
-def _run_schedule(psi: StateVector, ops: list[ScheduleOp]) -> tuple[StateVector, StateVector]:
-    """Run a schedule's gate ops, up to the measurement marker, on ``psi``
-    plus 2n zeroed ancillas; return the ancilla state and the final state,
-    published.  The leading ops that act on ancillas alone run on the
-    ancilla register, the rest in place in one working register; those
-    before the first H there form the CNOT layer, whose output is checked."""
+def _layers(n: int) -> list[tuple[str, tuple[tuple[int, ...], ...]]]:
+    """The four gate layers in causal order as ``(kind, gates)``, each gate's
+    qubits as a :class:`ScheduleOp` holds them: the Bell pairs' H and CNOT
+    layers on the ancillas, then the sender's CNOT and H layers."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    payload = range(1, n + 1)
+    return [
+        ("H", tuple((n + m,) for m in payload)),
+        ("CNOT", tuple((n + m, 2 * n + m) for m in payload)),
+        ("CNOT", tuple((m, n + m) for m in payload)),
+        ("H", tuple((m,) for m in payload)),
+    ]
+
+
+def _run_schedule(psi: StateVector, layers: list) -> tuple[StateVector, StateVector]:
+    """Run a leading slice of :func:`_layers` on ``psi`` plus 2n zeroed ancillas;
+    return the ancilla state and the final state, published.  The Bell layers run
+    on the ancilla register (its qubit q is circuit qubit n + q), the rest in place."""
     n = psi.n_qubits
     psi.require_normalized(context="input state")
-    gates = list(itertools.takewhile(lambda op: op.kind != "M", ops))
-    bell_ops = list(itertools.takewhile(lambda op: all(n < q <= 3 * n for q in op.qubits), gates))
-    bell = _run_ops(basis_state(BitChain(2 * n, 0)), bell_ops, shift=n)
+    bell = basis_state(BitChain(2 * n, 0))
+    for kind, gates in layers[:2]:
+        bell = _run_layer(bell, kind, [tuple(q - n for q in gate) for gate in gates])
     bell.require_normalized(context="entangled ancilla state")
-    rest = gates[len(bell_ops) :]
-    cut = next((i for i, op in enumerate(rest) if op.kind == "H"), len(rest))
-    state = _run_ops(_working_tensor(psi, bell), rest[:cut])
-    state.require_normalized(context="post-CNOT state")
-    state = _run_ops(state, rest[cut:])
-    state.require_normalized(context="pre-measurement state")
+    state = _working_tensor(psi, bell)
+    for (kind, gates), context in zip(layers[2:], ("post-CNOT state", "pre-measurement state")):
+        state = _run_layer(state, kind, gates)
+        state.require_normalized(context=context)
     return bell, state._publish()
 
 
-def _run_ops(state: StateVector, ops: Iterable[ScheduleOp], shift: int = 0) -> StateVector:
-    """Apply H and CNOT schedule ops in order, numbering qubits ``shift``
-    lower than the schedule does; the one place the protocol's gates run.
-    Each layer is one kernel call: a run of consecutive H ops is one
-    Hadamard layer, and a run of CNOT ops is one CNOT layer until a pair
-    touches a qubit the layer already uses, which starts the next.  A
-    working ``state`` is overwritten in place; a frozen one is not."""
-    for kind, run in itertools.groupby(ops, key=lambda op: op.kind):
-        if kind == "H":
-            state = hadamard_layer(state, [q - shift for op in run for q in op.qubits])
-        elif kind == "CNOT":
-            layer: list[tuple[int, ...]] = []
-            for op in run:
-                pair = tuple(q - shift for q in op.qubits)
-                if any(q in used for used in layer for q in pair):
-                    state = apply_cnot(state, layer)
-                    layer = []
-                layer.append(pair)
-            state = apply_cnot(state, layer)
-        else:
-            raise ValueError(f"cannot run schedule op {kind!r}")
-    return state
+def _run_layer(state: StateVector, kind: str, gates) -> StateVector:
+    """One layer, one kernel call: in place on a working state, not on a frozen one."""
+    return hadamard_layer(state, [q for (q,) in gates]) if kind == "H" else apply_cnot(state, gates)

@@ -217,6 +217,22 @@ class TestUsageErrors:
         assert "QTELEPORT_MAX_QUBITS" in err
 
 
+class TestHelp:
+    @pytest.mark.parametrize("argv", [("-h",), ("verify", "-h")])
+    def test_help_returns_0_with_the_help_on_stdout(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EX_OK
+        assert out.startswith(f"usage: qteleport {' '.join(argv[:-1])}".rstrip())
+        assert err == ""
+
+    def test_module_entry_point_exits_0(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "qteleport", "-h"], capture_output=True, timeout=120
+        )
+        assert done.returncode == EX_OK
+        assert done.stdout.startswith(b"usage: qteleport")
+
+
 class TestVerifyCommand:
     def test_single_qubit_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n", "1")
@@ -251,8 +267,7 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--n", "5")
         assert code == EX_USAGE
         assert err == "error: --n must be between 1 and 4, got 5\n"
-        with pytest.raises(SystemExit):
-            main(["verify", "--help"])
+        assert main(["verify", "--help"]) == EX_OK
         assert "(1-3 exhaustive, 4-4 sampled)" in capsys.readouterr().out
 
     def test_five_qubit_json_reports_the_sampled_branch_count(self, capsys):

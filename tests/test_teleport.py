@@ -308,25 +308,26 @@ class TestMemory:
         # At n = 6 a 3n-qubit register is 16 * 2^18 B = 4 MiB, far above the
         # ufunc buffers and temporaries that blur the count at n <= 4.  The
         # sender stage runs in place in one register.  A sampled measurement
-        # adds its |amplitude|^2 temporary, half a register; a forced outcome
-        # reads one row.  A second register would add 1 to either.
+        # squares the amplitudes a block of rows at a time; a forced outcome
+        # reads one row.  A second register, or a whole |amplitude|^2
+        # temporary (half a register), would break the bound.
         register = 16 << 18
         n = 6
         teleport(random_state(n, 0), 0)  # warm up: CNOT slice plans, lazy imports
         for seed in (1, 2, 3):
             psi = random_state(n, seed)
             runs = (
-                (1.6, lambda: teleport(psi, seed)),
-                (1.15, lambda: teleport(psi, force_outcome=BitChain(2 * n, seed))),
+                lambda: teleport(psi, seed),
+                lambda: teleport(psi, force_outcome=BitChain(2 * n, seed)),
             )
-            for bound, run in runs:
+            for run in runs:
                 tracemalloc.start()
                 try:
                     trace = run()
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak <= bound * register, f"peak of {peak / register:.2f} registers"
+                assert peak <= 1.15 * register, f"peak of {peak / register:.2f} registers"
                 states = [
                     trace.input_state,
                     trace.bell_state,
@@ -395,6 +396,53 @@ class TestSchedule:
     def test_replay_rejects_foreign_ops(self):
         with pytest.raises(ValueError):
             replay_schedule([ScheduleOp("SWAP", (1, 2))], random_state(1, 0))
+
+    def test_replay_rejects_other_lists_before_any_kernel(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("a kernel ran on a rejected op list")
+
+        for name in ("apply_cnot", "hadamard_layer", "_working_tensor"):
+            monkeypatch.setattr(teleport_module, name, no_kernel)
+        for n in range(1, 5):
+            psi = random_state(n, 90 + n)
+            ops = circuit_schedule(n)
+            swapped = ops[: 2 * n] + ops[3 * n : 4 * n] + ops[2 * n : 3 * n]
+            rejected = [ops[:cut] for cut in range(1, 4 * n) if cut % n]  # ends inside a layer
+            rejected += [swapped, swapped + ops[4 * n :], ops[: 3 * n] + ops[4 * n :]]
+            rejected += [ops[: 4 * n] + ops[4 * n + 1 :], ops + ops[-1:], ops[::-1]]
+            for other in (n - 1, n + 1):  # a schedule built for another n
+                if other >= 1:
+                    rejected += [circuit_schedule(other)[:cut] for cut in (2 * n, 3 * n, 4 * n)]
+                    rejected.append(circuit_schedule(other))
+            for bad in rejected:
+                with pytest.raises(ValueError, match="whole layers"):
+                    replay_schedule(bad, psi)
+
+    def test_replay_of_whole_layer_prefixes(self):
+        # no layer, the Bell layers, through the sender's CNOT layer, and the
+        # whole schedule with or without its markers
+        for n in range(1, 8):
+            psi = random_state(n, 50 + n)
+            trace = teleport(psi, 0)
+            ops = circuit_schedule(n)
+            expected = {
+                0: tensor(psi, basis_state(BitChain(2 * n, 0))),
+                2 * n: tensor(psi, trace.bell_state),
+                4 * n: trace.pre_measurement_state,
+                4 * n + 1: trace.pre_measurement_state,
+                len(ops): trace.pre_measurement_state,
+            }
+            for cut, state in expected.items():
+                replayed = replay_schedule(ops[:cut], psi)
+                assert replayed.amplitudes.tobytes() == state.amplitudes.tobytes(), cut
+                assert not replayed.amplitudes.flags.writeable
+
+    def test_teleport_builds_no_schedule_op(self, monkeypatch):
+        def no_op(*args):
+            raise AssertionError("teleport built a ScheduleOp")
+
+        monkeypatch.setattr(teleport_module, "ScheduleOp", no_op)
+        assert teleport(random_state(3, 1), 0).fidelity_to_input == pytest.approx(1.0)
 
     def test_replay_rejects_an_unnormalized_payload(self):
         # the payload is checked before any gate runs, as in teleport
