@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument(
         "--state",
         default="random",
-        help='"random", a comma-separated amplitude list (re or re+imi), or a state file path',
+        help='"random", a comma-separated amplitude list (re or re+imi), or a state file '
+        'path; write a value that begins with "-" as --state=VALUE',
     )
     t.add_argument("--out", help="write output here instead of stdout")
     t.add_argument("--format", choices=("json", "text"), default="json")

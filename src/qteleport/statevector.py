@@ -183,11 +183,7 @@ def _working_tensor(a: StateVector, b: StateVector) -> StateVector:
     kernels may then overwrite in place; the capacity is checked before the
     array is allocated."""
     combined = a.n_qubits + b.n_qubits
-    limit = max_qubits()
-    if combined > limit:
-        raise CapacityError(
-            f"tensor product needs {combined} qubits, exceeding the capacity of {limit}"
-        )
+    _require_capacity(combined)
     out = np.empty(1 << combined, dtype=np.complex128)
     np.multiply.outer(a.amplitudes, b.amplitudes, out=out.reshape(a.amplitudes.size, -1))
     return StateVector._owned(combined, out, frozen=False)

@@ -1,12 +1,12 @@
 """End-to-end teleportation of an n-qubit state.
 
 Register layout, big-endian: qubits 1..n hold the payload, n+1..2n the
-sender's ancillas, 2n+1..3n the receiver's.  A run executes one table of
-four gate layers, which :func:`circuit_schedule` lists op by op: the Bell
-pairs' H and CNOT layers on the ancillas, then the sender's CNOT layer
-(qubit m controls qubit n+m) and Hadamard layer (qubits 1..n); then it
-measures the first 2n qubits.  One runner executes a leading slice of the
-table for :func:`teleport` and :func:`replay_schedule`, one kernel call per
+sender's ancillas, 2n+1..3n the receiver's.  The circuit is one table,
+:func:`circuit_schedule`: the Bell pairs' H and CNOT layers on the
+ancillas, the sender's CNOT layer (qubit m controls qubit n+m) and Hadamard
+layer (qubits 1..n), then the measurement of the first 2n qubits and the
+receiver's correction.  One runner executes the table's leading gate layers
+for :func:`teleport` and :func:`replay_schedule`, one kernel call per
 layer: the Bell layers on the 2n-qubit ancilla register, the sender's in
 place in one working register that starts as the payload tensor Bell state.
 The trace's states are published frozen; the post-CNOT state is not kept.
@@ -19,10 +19,11 @@ select X exponents; the receiver applies the exact inverse of that Pauli
 product to their n-qubit state, so the corrected state equals the payload
 amplitude by amplitude, not just up to phase.
 
-The measurement arguments (a seed, or a forced outcome of width 2n) are
-checked before any gate runs.  The runner checks the payload's norm, and
-every stage re-checks normalization (drift beyond 1e-8 raises) so a buggy
-gate surfaces immediately instead of being hidden by renormalization.
+The measurement arguments (a forced outcome of width 2n, or a seed, from
+which the generator is built) are checked before any gate runs.  The runner
+checks the payload's norm, and every stage re-checks normalization (drift
+beyond 1e-8 raises) so a buggy gate surfaces immediately instead of being
+hidden by renormalization.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 from .bitchain import BitChain
 from .gates import (
@@ -54,7 +57,7 @@ class TeleportTrace:
     """Full record of one protocol run; every field is serialized.
 
     The post-CNOT state is not kept: the run overwrites its register in the
-    Hadamard layer.  ``replay_schedule(circuit_schedule(n)[: 3 * n], psi)``
+    Hadamard layer.  ``replay_schedule(circuit_schedule(n)[:3], psi)``
     runs the first three layers by the same route and reproduces it bit for
     bit.
     """
@@ -67,19 +70,6 @@ class TeleportTrace:
     bob_pre_correction: StateVector
     bob_post_correction: StateVector
     fidelity_to_input: float
-
-
-@dataclass(frozen=True)
-class ScheduleOp:
-    """One circuit operation.
-
-    ``kind`` is "H" (qubits = (target,)), "CNOT" ((control, target)),
-    "M" ((first, last) measured span) or "CORRECT" ((first, last) span of
-    the receiver block awaiting the measured-bit-keyed Pauli product).
-    """
-
-    kind: str
-    qubits: tuple[int, ...]
 
 
 def correction_for_outcome(outcome: BitChain) -> PauliCorrection:
@@ -106,15 +96,17 @@ def teleport(
     4^n branches.
     """
     n = psi.n_qubits
-    if force_outcome is None and seed is None:
-        raise ValueError("teleport needs a seed unless force_outcome is given")
-    if force_outcome is not None and force_outcome.width != 2 * n:
+    if force_outcome is None:
+        if seed is None:
+            raise ValueError("teleport needs a seed unless force_outcome is given")
+        rng = np.random.default_rng(seed)
+    elif force_outcome.width != 2 * n:
         raise ValueError(f"forced outcome width {force_outcome.width} != {2 * n} measured qubits")
-    bell, pre_measurement = _run_schedule(psi, _layers(n))
+    bell, pre_measurement = _run_schedule(psi, circuit_schedule(n)[:4])
     if force_outcome is not None:
         outcome, bob_pre = project_onto_outcome(pre_measurement, force_outcome)
     else:
-        outcome, bob_pre = measure_subset(pre_measurement, 2 * n, seed)
+        outcome, bob_pre = measure_subset(pre_measurement, 2 * n, rng)
 
     bob_post = apply_pauli_correction_inverse(bob_pre, correction_for_outcome(outcome.bits))
     bob_post.require_normalized(context="corrected receiver state")
@@ -130,47 +122,59 @@ def teleport(
     )
 
 
-def circuit_schedule(n: int) -> list[ScheduleOp]:
-    """Gate schedule of the protocol on 3n qubits, in causal order: the four
-    gate layers one gate per op, then the measurement and correction markers."""
-    ops = [ScheduleOp(kind, qubits) for kind, gates in _layers(n) for qubits in gates]
-    return ops + [ScheduleOp("M", (1, 2 * n)), ScheduleOp("CORRECT", (2 * n + 1, 3 * n))]
+def circuit_schedule(n: int) -> list[tuple[str, tuple[tuple[int, ...], ...]]]:
+    """The protocol on 3n qubits as six ``(kind, gates)`` entries in causal
+    order: the Bell pairs' "H" layer ``(n+m,)`` and "CNOT" layer
+    ``(n+m, 2n+m)`` on the ancillas, the sender's "CNOT" layer ``(m, n+m)``
+    and "H" layer ``(m,)`` for m = 1..n, then the "M" span ``(1, 2n)`` of
+    measured qubits and the "CORRECT" span ``(2n+1, 3n)`` of the receiver
+    block awaiting the measured-bit-keyed Pauli product."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    payload = range(1, n + 1)
+    return [
+        ("H", tuple((n + m,) for m in payload)),
+        ("CNOT", tuple((n + m, 2 * n + m) for m in payload)),
+        ("CNOT", tuple((m, n + m) for m in payload)),
+        ("H", tuple((m,) for m in payload)),
+        ("M", ((1, 2 * n),)),
+        ("CORRECT", ((2 * n + 1, 3 * n),)),
+    ]
 
 
-def render_schedule(ops: list[ScheduleOp]) -> str:
-    """Text form, one operation per line: ``H q3``, ``CNOT q1 q4``,
-    ``M q1..q6``; the correction marker becomes a trailing comment naming
-    the operator family."""
+def render_schedule(layers: list) -> str:
+    """Text form of ``(kind, gates)`` entries, one gate per line: ``H q3``,
+    ``CNOT q1 q4``, ``M q1..q6``; the correction span becomes a trailing
+    comment naming the operator family."""
     lines = []
-    for op in ops:
-        match op.kind, op.qubits:
-            case "H", (q,):
-                lines.append(f"H q{q}")
-            case "CNOT", (control, target):
-                lines.append(f"CNOT q{control} q{target}")
-            case "M", (first, last):
-                lines.append(f"M q{first}..q{last}")
-            case "CORRECT", (first, last):
-                lines.append(
-                    f"# correct q{first}..q{last}: inverse (X products)(Z products) "
-                    "keyed by the measured bits"
-                )
-            case _:
-                raise ValueError(f"cannot render schedule op {op.kind!r} on {op.qubits}")
+    for kind, gates in layers:
+        for qubits in gates:
+            match kind, qubits:
+                case "H", (q,):
+                    lines.append(f"H q{q}")
+                case "CNOT", (control, target):
+                    lines.append(f"CNOT q{control} q{target}")
+                case "M", (first, last):
+                    lines.append(f"M q{first}..q{last}")
+                case "CORRECT", (first, last):
+                    lines.append(
+                        f"# correct q{first}..q{last}: inverse (X products)(Z products) "
+                        "keyed by the measured bits"
+                    )
+                case _:
+                    raise ValueError(f"cannot render {kind!r} on {qubits}")
     return "\n".join(lines) + "\n"
 
 
-def replay_schedule(ops: list[ScheduleOp], psi: StateVector) -> StateVector:
-    """Run ``ops``, whole layers from the start of ``circuit_schedule(n)``, on
-    ``psi`` plus zeroed ancillas by :func:`teleport`'s route: the whole
-    schedule gives the run's pre-measurement state bit for bit, ``[: 3 * n]``
-    its post-CNOT state.  Other lists raise :class:`ValueError` before a gate runs."""
+def replay_schedule(layers: list, psi: StateVector) -> StateVector:
+    """Run ``layers``, a leading slice of ``circuit_schedule(n)``, on ``psi``
+    plus zeroed ancillas by :func:`teleport`'s route: ``[:4]`` or more gives
+    the run's pre-measurement state bit for bit, ``[:3]`` its post-CNOT
+    state.  Any other list raises :class:`ValueError` before a gate runs."""
     n = psi.n_qubits
-    depth = min(len(ops) // n, 4)
-    # every layer is n ops; the M and CORRECT markers may follow the fourth
-    if ops != circuit_schedule(n)[: len(ops)] or (depth < 4 and len(ops) != depth * n):
-        raise ValueError(f"{len(ops)} ops are not whole layers of the {n}-qubit schedule")
-    return _run_schedule(psi, _layers(n)[:depth])[1]
+    if layers != circuit_schedule(n)[: len(layers)]:
+        raise ValueError(f"{len(layers)} entries are not a leading slice of circuit_schedule({n})")
+    return _run_schedule(psi, layers[:4])[1]
 
 
 def trace_json_chunks(trace: TeleportTrace) -> Iterator[str]:
@@ -205,25 +209,11 @@ def trace_to_json(trace: TeleportTrace) -> str:
     return "".join(trace_json_chunks(trace))
 
 
-def _layers(n: int) -> list[tuple[str, tuple[tuple[int, ...], ...]]]:
-    """The four gate layers in causal order as ``(kind, gates)``, each gate's
-    qubits as a :class:`ScheduleOp` holds them: the Bell pairs' H and CNOT
-    layers on the ancillas, then the sender's CNOT and H layers."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    payload = range(1, n + 1)
-    return [
-        ("H", tuple((n + m,) for m in payload)),
-        ("CNOT", tuple((n + m, 2 * n + m) for m in payload)),
-        ("CNOT", tuple((m, n + m) for m in payload)),
-        ("H", tuple((m,) for m in payload)),
-    ]
-
-
 def _run_schedule(psi: StateVector, layers: list) -> tuple[StateVector, StateVector]:
-    """Run a leading slice of :func:`_layers` on ``psi`` plus 2n zeroed ancillas;
-    return the ancilla state and the final state, published.  The Bell layers run
-    on the ancilla register (its qubit q is circuit qubit n + q), the rest in place."""
+    """Run a leading slice of :func:`circuit_schedule`'s four gate layers on
+    ``psi`` plus 2n zeroed ancillas; return the ancilla state and the final
+    state, published.  The Bell layers run on the ancilla register (its qubit
+    q is circuit qubit n + q), the rest in place."""
     n = psi.n_qubits
     psi.require_normalized(context="input state")
     bell = basis_state(BitChain(2 * n, 0))

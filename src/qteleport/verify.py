@@ -200,7 +200,7 @@ def verify_protocol(n: int, seed: int = 0) -> VerificationReport:
         )
 
     bell_oracle = bell_closed_form(n)
-    through_cnot_layer = circuit_schedule(n)[: 3 * n]
+    through_cnot_layer = circuit_schedule(n)[:3]
     bell_dev = cnot_dev = layer_dev = reassembly_dev = fixture_dev = 0.0
     uniform_probability = 4.0 ** (-n)
     branches_checked = 0

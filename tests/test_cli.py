@@ -63,6 +63,16 @@ class TestTeleportCommand:
         assert "renormalized" in err
         assert json.loads(out)["fidelity"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_literal_beginning_with_a_minus_needs_the_equals_form(self, capsys):
+        # argparse takes "-0.6,0.8" after a space for an option, so --state has no value
+        code, out, err = run_cli(capsys, "teleport", "--n", "1", "--seed", "1", "--state", "-0.6,0.8")
+        assert code == EX_USAGE
+        assert out == ""
+        assert "argument --state: expected one argument" in err
+        code, out, _ = run_cli(capsys, "teleport", "--n", "1", "--seed", "1", "--state=-0.6,0.8")
+        assert code == EX_OK
+        assert json.loads(out)["states"]["input"]["amplitudes"] == [[-0.6, 0.0], [0.8, 0.0]]
+
     def test_unnormalized_literal_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "teleport", "--n", "1", "--state", "1,1", "--seed", "2")
         assert code == EX_STATE

@@ -122,9 +122,6 @@ def scratch_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli_contract")
 
 
-# a failing example's report imports a module that warns, which the suite's
-# warnings-as-errors setting would turn into an internal error
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(run=runs())
 def test_exit_code_is_documented_and_nothing_raises(scratch_dir, run):

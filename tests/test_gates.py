@@ -18,7 +18,7 @@ from qteleport.gates import (
     hadamard_layer,
 )
 from qteleport.statevector import StateVector, basis_state, random_state
-from qteleport.teleport import ScheduleOp, render_schedule
+from qteleport.teleport import render_schedule
 from qteleport.verify import hadamard_closed_form
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -483,10 +483,10 @@ class TestPauliCorrection:
 
 class TestRenderSchedule:
     def test_grammar(self):
-        ops = [ScheduleOp("H", (3,)), ScheduleOp("CNOT", (1, 4)), ScheduleOp("M", (1, 6))]
-        assert render_schedule(ops) == "H q3\nCNOT q1 q4\nM q1..q6\n"
+        layers = [("H", ((3,),)), ("CNOT", ((1, 4), (2, 5))), ("M", ((1, 6),))]
+        assert render_schedule(layers) == "H q3\nCNOT q1 q4\nCNOT q2 q5\nM q1..q6\n"
 
     def test_unknown_kind(self):
-        for op in (ScheduleOp("T", (1,)), ScheduleOp("X", (7,)), ScheduleOp("H", (1, 2))):
+        for layer in (("T", ((1,),)), ("X", ((7,),)), ("H", ((1, 2),))):
             with pytest.raises(ValueError):
-                render_schedule([op])
+                render_schedule([layer])

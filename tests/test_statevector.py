@@ -160,15 +160,19 @@ class TestConstruction:
             def standard_normal(self, *args, **kwargs):
                 raise AssertionError("drew normals before the capacity check")
 
-        def no_zeros(*args, **kwargs):
+        def no_alloc(*args, **kwargs):
             raise AssertionError("allocated before the capacity check")
 
         monkeypatch.setenv("QTELEPORT_MAX_QUBITS", "3")
+        high, low = basis_state(BitChain(3, 0)), basis_state(BitChain(1, 0))
         with pytest.raises(CapacityError):
             random_state(4, NoDraws(np.random.PCG64(0)))
-        monkeypatch.setattr(np, "zeros", no_zeros)
+        monkeypatch.setattr(np, "zeros", no_alloc)
+        monkeypatch.setattr(np, "empty", no_alloc)
         with pytest.raises(CapacityError):
             basis_state(BitChain(4, 0))
+        with pytest.raises(CapacityError):
+            tensor(high, low)
 
     def test_capacity_message_names_the_limit_it_checked(self, monkeypatch):
         # a limit that changes between reads: the message must name the one checked

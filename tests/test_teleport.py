@@ -20,7 +20,6 @@ from qteleport.statevector import (
     tensor,
 )
 from qteleport.teleport import (
-    ScheduleOp,
     circuit_schedule,
     correction_for_outcome,
     render_schedule,
@@ -106,9 +105,9 @@ class TestAliceLayers:
     def test_cnot_layer_identity_on_zero_payload(self):
         for n in (1, 2, 3):
             psi = basis_state(BitChain(n, 0))
-            ops = circuit_schedule(n)
-            before = replay_schedule(ops[: 2 * n], psi)
-            after = replay_schedule(ops[: 3 * n], psi)
+            layers = circuit_schedule(n)
+            before = replay_schedule(layers[:2], psi)
+            after = replay_schedule(layers[:3], psi)
             np.testing.assert_array_equal(after.amplitudes, before.amplitudes)
             full = tensor(psi, teleport(psi, 0).bell_state)
             np.testing.assert_array_equal(after.amplitudes, full.amplitudes)
@@ -298,6 +297,9 @@ class TestTeleport:
         psi = random_state(n, 4)
         with pytest.raises(ValueError, match="seed"):
             teleport(psi)
+        for seed in (-1, 1.5):  # numpy rejects both when it builds the generator
+            with pytest.raises((ValueError, TypeError)):
+                teleport(psi, seed)
         for width in (2 * n - 1, 2 * n + 1, n):
             with pytest.raises(ValueError, match="width"):
                 teleport(psi, force_outcome=BitChain(width, 0))
@@ -343,22 +345,19 @@ class TestMemory:
 class TestSchedule:
     def test_single_qubit_sequence(self):
         assert circuit_schedule(1) == [
-            ScheduleOp("H", (2,)),
-            ScheduleOp("CNOT", (2, 3)),
-            ScheduleOp("CNOT", (1, 2)),
-            ScheduleOp("H", (1,)),
-            ScheduleOp("M", (1, 2)),
-            ScheduleOp("CORRECT", (3, 3)),
+            ("H", ((2,),)),
+            ("CNOT", ((2, 3),)),
+            ("CNOT", ((1, 2),)),
+            ("H", ((1,),)),
+            ("M", ((1, 2),)),
+            ("CORRECT", ((3, 3),)),
         ]
 
     def test_operation_counts(self):
         for n in (1, 2, 3, 4):
-            ops = circuit_schedule(n)
-            kinds = [op.kind for op in ops]
-            assert kinds.count("H") == 2 * n
-            assert kinds.count("CNOT") == 2 * n
-            assert kinds.count("M") == 1
-            assert kinds.count("CORRECT") == 1
+            layers = circuit_schedule(n)
+            assert [kind for kind, _ in layers] == ["H", "CNOT", "CNOT", "H", "M", "CORRECT"]
+            assert [len(gates) for _, gates in layers] == [n, n, n, n, 1, 1]
 
     def test_rendered_text_single_qubit(self):
         assert render_schedule(circuit_schedule(1)) == (
@@ -390,59 +389,53 @@ class TestSchedule:
             trace = teleport(psi, 0)
             pairs = [(m, n + m) for m in range(1, n + 1)]
             post_cnot = apply_cnot(tensor(psi, trace.bell_state), pairs)
-            replayed = replay_schedule(circuit_schedule(n)[: 3 * n], psi)
+            replayed = replay_schedule(circuit_schedule(n)[:3], psi)
             assert replayed.amplitudes.tobytes() == post_cnot.amplitudes.tobytes()
 
     def test_replay_rejects_foreign_ops(self):
         with pytest.raises(ValueError):
-            replay_schedule([ScheduleOp("SWAP", (1, 2))], random_state(1, 0))
+            replay_schedule([("SWAP", ((1, 2),))], random_state(1, 0))
 
     def test_replay_rejects_other_lists_before_any_kernel(self, monkeypatch):
         def no_kernel(*args):
-            raise AssertionError("a kernel ran on a rejected op list")
+            raise AssertionError("a kernel ran on a rejected list")
 
         for name in ("apply_cnot", "hadamard_layer", "_working_tensor"):
             monkeypatch.setattr(teleport_module, name, no_kernel)
         for n in range(1, 5):
             psi = random_state(n, 90 + n)
-            ops = circuit_schedule(n)
-            swapped = ops[: 2 * n] + ops[3 * n : 4 * n] + ops[2 * n : 3 * n]
-            rejected = [ops[:cut] for cut in range(1, 4 * n) if cut % n]  # ends inside a layer
-            rejected += [swapped, swapped + ops[4 * n :], ops[: 3 * n] + ops[4 * n :]]
-            rejected += [ops[: 4 * n] + ops[4 * n + 1 :], ops + ops[-1:], ops[::-1]]
-            for other in (n - 1, n + 1):  # a schedule built for another n
+            layers = circuit_schedule(n)
+            swapped = layers[:2] + [layers[3], layers[2]]
+            rejected = [swapped, swapped + layers[4:], layers[:3] + layers[4:]]
+            rejected += [layers[:4] + layers[5:], layers + layers[-1:], layers[::-1]]
+            for cut in range(1, 5):  # a gate layer short of a gate, or with one doubled
+                kind, gates = layers[cut - 1]
+                rejected += [layers[: cut - 1] + [(kind, g)] for g in (gates[:-1], gates + gates[-1:])]
+            for other in (n - 1, n + 1):  # a table built for another n
                 if other >= 1:
-                    rejected += [circuit_schedule(other)[:cut] for cut in (2 * n, 3 * n, 4 * n)]
-                    rejected.append(circuit_schedule(other))
+                    rejected += [circuit_schedule(other)[:cut] for cut in range(1, 7)]
             for bad in rejected:
-                with pytest.raises(ValueError, match="whole layers"):
+                with pytest.raises(ValueError, match="leading slice"):
                     replay_schedule(bad, psi)
 
     def test_replay_of_whole_layer_prefixes(self):
         # no layer, the Bell layers, through the sender's CNOT layer, and the
-        # whole schedule with or without its markers
+        # whole table with or without its measurement and correction entries
         for n in range(1, 8):
             psi = random_state(n, 50 + n)
             trace = teleport(psi, 0)
-            ops = circuit_schedule(n)
+            layers = circuit_schedule(n)
             expected = {
                 0: tensor(psi, basis_state(BitChain(2 * n, 0))),
-                2 * n: tensor(psi, trace.bell_state),
-                4 * n: trace.pre_measurement_state,
-                4 * n + 1: trace.pre_measurement_state,
-                len(ops): trace.pre_measurement_state,
+                2: tensor(psi, trace.bell_state),
+                4: trace.pre_measurement_state,
+                5: trace.pre_measurement_state,
+                6: trace.pre_measurement_state,
             }
             for cut, state in expected.items():
-                replayed = replay_schedule(ops[:cut], psi)
+                replayed = replay_schedule(layers[:cut], psi)
                 assert replayed.amplitudes.tobytes() == state.amplitudes.tobytes(), cut
                 assert not replayed.amplitudes.flags.writeable
-
-    def test_teleport_builds_no_schedule_op(self, monkeypatch):
-        def no_op(*args):
-            raise AssertionError("teleport built a ScheduleOp")
-
-        monkeypatch.setattr(teleport_module, "ScheduleOp", no_op)
-        assert teleport(random_state(3, 1), 0).fidelity_to_input == pytest.approx(1.0)
 
     def test_replay_rejects_an_unnormalized_payload(self):
         # the payload is checked before any gate runs, as in teleport
@@ -467,21 +460,14 @@ class TestSchedule:
         for n in (1, 2, 3):
             calls.clear()
             teleport(random_state(n, n), 0)
-            gate_ops = [op for op in circuit_schedule(n) if op.kind in ("H", "CNOT")]
-            # the Bell pairs are prepared on the 2n-qubit ancilla register
-            placed = [(op.kind, tuple(q - n for q in op.qubits), 2 * n) for op in gate_ops[: 2 * n]]
-            placed += [(op.kind, op.qubits, 3 * n) for op in gate_ops[2 * n :]]
-            # a run of H ops, or of CNOT pairs, on one register is one layer call
+            # one call per gate layer; the Bell pairs are prepared on the
+            # 2n-qubit ancilla register, whose qubit q is circuit qubit n + q
             expected = []
-            for (kind, width), run in itertools.groupby(placed, key=lambda c: (c[0], c[2])):
-                run = list(run)
-                if kind == "H":
-                    expected.append(("H", sum((qubits for _, qubits, _ in run), ()), width))
-                else:
-                    expected.append(("CNOT", tuple(qubits for _, qubits, _ in run), width))
+            for i, (kind, gates) in enumerate(circuit_schedule(n)[:4]):
+                shift, width = (n, 2 * n) if i < 2 else (0, 3 * n)
+                placed = tuple(tuple(q - shift for q in gate) for gate in gates)
+                expected.append((kind, sum(placed, ()) if kind == "H" else placed, width))
             assert calls == expected
-            assert [c[0] for c in calls].count("H") == 2
-            assert [c[0] for c in calls].count("CNOT") == 2
 
 
 def reference_trace_json(trace):

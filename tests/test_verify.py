@@ -45,7 +45,7 @@ def gate_trace(alpha, n):
 def gate_post_cnot(alpha, n):
     """The gate route's state after the sender's CNOT layer: the schedule
     replayed up to the end of that layer, as verify_protocol checks it."""
-    return replay_schedule(circuit_schedule(n)[: 3 * n], StateVector(n, alpha))
+    return replay_schedule(circuit_schedule(n)[:3], StateVector(n, alpha))
 
 
 def basis_alpha(n, index):
@@ -381,7 +381,7 @@ class TestVerifyProtocol:
             # the trace keeps no post-CNOT state; verify replays the schedule
             # through the CNOT layer instead
             monkeypatch.setattr(
-                verify_module, "replay_schedule", lambda ops, psi: negated(replay_schedule(ops, psi))
+                verify_module, "replay_schedule", lambda layers, psi: negated(replay_schedule(layers, psi))
             )
         else:
             monkeypatch.setattr(verify_module, "teleport", corrupted_teleport)
