@@ -111,7 +111,9 @@ def hadamard_layer(state: StateVector, qubits: Iterable[int]) -> StateVector:
     for q in qubits:
         halves = amps.view(np.float64).reshape(1 << (q - 1), 2, -1)
         width = halves.shape[2]
-        cols = min(width, _BLOCK_FLOATS)
+        # rows under 8 floats wide would make each ufunc run row by row;
+        # a block of one strided column runs as one long loop instead
+        cols = min(width, _BLOCK_FLOATS) if width >= 8 else 1
         step = _BLOCK_FLOATS // cols
         for r in range(0, len(halves), step):
             for c in range(0, width, cols):
@@ -182,10 +184,15 @@ def _signed_permutation(
         raise ValueError(
             f"correction on {corr.n} qubits does not fit a {state.n_qubits}-qubit state"
         )
-    z = corr.z_exponents.value
-    source = np.arange(1 << corr.n) ^ corr.x_exponents.value
-    signed = source if sign_on_source else range(1 << corr.n)
-    negate = np.array([(int(v) & z).bit_count() & 1 for v in signed], dtype=bool)
+    labels = np.arange(1 << corr.n)
+    source = labels ^ corr.x_exponents.value
+    # the parity of each label's z-masked bits, folded down into bit 0
+    parity = (source if sign_on_source else labels) & corr.z_exponents.value
+    shift = 1
+    while shift < corr.n:
+        parity ^= parity >> shift
+        shift <<= 1
+    negate = (parity & 1).astype(bool)
     moved = state.amplitudes[source]
     # adding 0.0 turns -0.0 into 0.0, so exact zeros print unsigned
     return StateVector._owned(state.n_qubits, np.where(negate, -moved, moved) + 0.0)

@@ -99,7 +99,7 @@ class MeasurementOutcome:
 class StateVector:
     """Complex amplitudes over an n-qubit register, indexed big-endian."""
 
-    __slots__ = ("n_qubits", "amplitudes", "_norm")
+    __slots__ = ("n_qubits", "amplitudes", "_norm", "__weakref__")
 
     def __init__(self, n_qubits: int, amplitudes: Sequence[complex] | np.ndarray) -> None:
         self._adopt(n_qubits, np.array(amplitudes, dtype=np.complex128).reshape(-1))

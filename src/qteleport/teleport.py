@@ -10,6 +10,8 @@ for :func:`teleport` and :func:`replay_schedule`, one kernel call per
 layer: the Bell layers on the 2n-qubit ancilla register, the sender's in
 place in one working register that starts as the payload tensor Bell state.
 The trace's states are published frozen; the post-CNOT state is not kept.
+A weak one-entry memo lets consecutive runs on one payload object share
+those gate layers, so a sweep of forced outcomes runs them once.
 
 Reshaped to (4^n, 2^n), the pre-measurement state's row r is the
 receiver's unnormalized state for outcome r, so the measurement hands the
@@ -29,6 +31,7 @@ hidden by renormalization.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -49,8 +52,14 @@ from .statevector import (
     measure_subset,
     project_onto_outcome,
     state_json_chunks,
+    _require_capacity,
     _working_tensor,
 )
+
+# Weak references to the last gate run's payload and its Bell and
+# pre-measurement states, or None before the first run; see _prepared.
+_last_run: tuple[weakref.ref, weakref.ref, weakref.ref] | None = None
+
 
 @dataclass(frozen=True)
 class TeleportTrace:
@@ -59,7 +68,9 @@ class TeleportTrace:
     The post-CNOT state is not kept: the run overwrites its register in the
     Hadamard layer.  ``replay_schedule(circuit_schedule(n)[:3], psi)``
     runs the first three layers by the same route and reproduces it bit for
-    bit.
+    bit.  Traces of consecutive :func:`teleport` calls on one payload object
+    share their ``bell_state`` and ``pre_measurement_state`` objects, one
+    frozen gate run held weakly.
     """
 
     n: int
@@ -94,6 +105,12 @@ def teleport(
     ``force_outcome`` that outcome is imposed instead (its reported
     probability is still the true Born value), which lets callers sweep all
     4^n branches.
+
+    The gate layers do not depend on the outcome, so consecutive calls on
+    one payload object share one frozen gate run: while the last trace's
+    Bell and pre-measurement states are alive, a call on the same ``psi``
+    reuses them and only measures and corrects.  The run is held weakly, so
+    it keeps no register alive; the capacity is checked on every call.
     """
     n = psi.n_qubits
     if force_outcome is None:
@@ -102,7 +119,8 @@ def teleport(
         rng = np.random.default_rng(seed)
     elif force_outcome.width != 2 * n:
         raise ValueError(f"forced outcome width {force_outcome.width} != {2 * n} measured qubits")
-    bell, pre_measurement = _run_schedule(psi, circuit_schedule(n)[:4])
+    _require_capacity(3 * n)
+    bell, pre_measurement = _prepared(psi)
     if force_outcome is not None:
         outcome, bob_pre = project_onto_outcome(pre_measurement, force_outcome)
     else:
@@ -225,6 +243,23 @@ def _run_schedule(psi: StateVector, layers: list) -> tuple[StateVector, StateVec
         state = _run_layer(state, kind, gates)
         state.require_normalized(context=context)
     return bell, state._publish()
+
+
+def _prepared(psi: StateVector) -> tuple[StateVector, StateVector]:
+    """The Bell and pre-measurement states of the four gate layers on ``psi``.
+
+    The last run's states are returned again while ``psi`` is the same
+    object and both states are still alive; otherwise the layers run and
+    their states replace the held ones.  Everything is held weakly, so the
+    memo keeps no register alive."""
+    global _last_run
+    if _last_run is not None:
+        held_psi, bell, pre_measurement = (ref() for ref in _last_run)
+        if held_psi is psi and bell is not None and pre_measurement is not None:
+            return bell, pre_measurement
+    bell, pre_measurement = _run_schedule(psi, circuit_schedule(psi.n_qubits)[:4])
+    _last_run = (weakref.ref(psi), weakref.ref(bell), weakref.ref(pre_measurement))
+    return bell, pre_measurement
 
 
 def _run_layer(state: StateVector, kind: str, gates) -> StateVector:

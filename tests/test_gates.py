@@ -297,14 +297,17 @@ class TestHadamardLayer:
         # layer's order, bit for bit; the single-qubit layers include q = n,
         # where each pair is one amplitude's re and im beside its partner's.
         # At n = 16 the register is 2^17 floats, several of the kernel's
-        # blocks, which q = 1 cuts by columns and q = 9 and q = 16 by rows.
+        # blocks, which q = 1 cuts by columns and q = 9 by rows; on q = n - 1
+        # and q = n, whose rows are 4 and 2 floats wide, each block is one
+        # strided column, and at n = 17 those columns span two row blocks.
         # The tensordot reference rounds differently in the last bit, so it
         # is held to 1e-15.
         cases = [
             (n, [[q] for q in range(1, n + 1)] + [list(range(1, n + 1)), list(range(n, 0, -1))])
             for n in range(1, 9)
         ]
-        cases.append((16, [[1], [16], [9], list(range(1, 17))]))
+        cases.append((16, [[1], [16], [15], [9], list(range(1, 17))]))
+        cases.append((17, [[16], [17]]))
         for n, layers in cases:
             psi = random_state(n, 40 + n)
             for qubits in layers:
@@ -469,6 +472,31 @@ class TestPauliCorrection:
                 apply_pauli_correction_inverse(psi, corr).amplitudes,
                 gate_loop(psi, corr, (x_part, z_part)).amplitudes,
             )
+
+    def test_matches_a_label_by_label_sign_loop_bit_for_bit(self):
+        # reference: each label's sign from its own bit count, one label at a
+        # time; the register widths include ones the kernel's parity fold
+        # does not fill to a power of two
+        def label_loop(state, corr, sign_on_source):
+            x, z = corr.x_exponents.value, corr.z_exponents.value
+            amps = np.empty_like(state.amplitudes)
+            for b in range(1 << corr.n):
+                value = state.amplitudes[b ^ x]
+                signed = b ^ x if sign_on_source else b
+                amps[b] = (-value if (signed & z).bit_count() & 1 else value) + 0.0
+            return amps.tobytes()
+
+        for n in range(1, 8):
+            values = range(1 << n) if n <= 3 else (0, 1, 0b101, (1 << n) - 1, (1 << n) - 6)
+            # a basis state's exact zeros check that no -0.0 is left
+            for psi, xv, zv in itertools.product(
+                (random_state(n, 60 + n), ket("0" * n)), values, values
+            ):
+                corr = PauliCorrection(n, BitChain(n, xv), BitChain(n, zv))
+                forward = apply_pauli_correction(psi, corr).amplitudes.tobytes()
+                back = apply_pauli_correction_inverse(psi, corr).amplitudes.tobytes()
+                assert forward == label_loop(psi, corr, True), (n, xv, zv)
+                assert back == label_loop(psi, corr, False), (n, xv, zv)
 
     def test_correction_width_must_match_the_state(self):
         # a correction acts on the whole state: its width must be the state's

@@ -1,8 +1,10 @@
+import gc
 import importlib
 import itertools
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import qteleport.cli as cli
 from qteleport.bitchain import BitChain
 from qteleport.gates import apply_cnot, apply_pauli_correction
 from qteleport.statevector import (
+    CapacityError,
     NormalizationError,
     StateVector,
     basis_state,
@@ -312,34 +315,102 @@ class TestMemory:
         # sender stage runs in place in one register.  A sampled measurement
         # squares the amplitudes a block of rows at a time; a forced outcome
         # reads one row.  A second register, or a whole |amplitude|^2
-        # temporary (half a register), would break the bound.
+        # temporary (half a register), would break the bound.  A call on the
+        # payload of a held trace reuses its gate run and allocates no
+        # register at all.
         register = 16 << 18
         n = 6
         teleport(random_state(n, 0), 0)  # warm up: CNOT slice plans, lazy imports
+
+        def traced(run, bound):
+            tracemalloc.start()
+            try:
+                trace = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * register, f"peak of {peak / register:.2f} registers"
+            states = [
+                trace.input_state,
+                trace.bell_state,
+                trace.pre_measurement_state,
+                trace.bob_pre_correction,
+                trace.bob_post_correction,
+            ]
+            assert not any(state.amplitudes.flags.writeable for state in states)
+            for a, b in itertools.combinations(states, 2):
+                assert not np.shares_memory(a.amplitudes, b.amplitudes)
+            return trace
+
         for seed in (1, 2, 3):
             psi = random_state(n, seed)
-            runs = (
-                lambda: teleport(psi, seed),
-                lambda: teleport(psi, force_outcome=BitChain(2 * n, seed)),
-            )
-            for run in runs:
-                tracemalloc.start()
-                try:
-                    trace = run()
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak <= 1.15 * register, f"peak of {peak / register:.2f} registers"
-                states = [
-                    trace.input_state,
-                    trace.bell_state,
-                    trace.pre_measurement_state,
-                    trace.bob_pre_correction,
-                    trace.bob_post_correction,
-                ]
-                assert not any(state.amplitudes.flags.writeable for state in states)
-                for a, b in itertools.combinations(states, 2):
-                    assert not np.shares_memory(a.amplitudes, b.amplitudes)
+            forced = BitChain(2 * n, seed)
+            seeded = traced(lambda: teleport(psi, seed), 1.15)
+            warm = traced(lambda: teleport(psi, force_outcome=forced), 0.05)
+            assert warm.pre_measurement_state is seeded.pre_measurement_state
+            # a payload object of its own makes the forced run cold
+            copy = StateVector(n, psi.amplitudes)
+            cold = traced(lambda: teleport(copy, force_outcome=forced), 1.15)
+            assert cold.pre_measurement_state is not seeded.pre_measurement_state
+
+
+class TestGateRunMemo:
+    def test_forced_outcomes_on_one_payload_run_the_gate_layers_once(self, monkeypatch):
+        # as verify sweeps them: each call runs while the last trace is held
+        calls = []
+        hadamard_layer = teleport_module.hadamard_layer
+
+        def counting_layer(state, qubits):
+            calls.append(state.n_qubits)
+            return hadamard_layer(state, qubits)
+
+        monkeypatch.setattr(teleport_module, "hadamard_layer", counting_layer)
+        n = 4
+        psi = random_state(n, 7)
+        for out in range(0, 1 << (2 * n), 8):
+            trace = teleport(psi, force_outcome=BitChain(2 * n, out))
+            assert trace.outcome.bits.value == out
+        # the Bell pairs' H layer on 2n qubits, the sender's on 3n, once each
+        assert calls == [2 * n, 3 * n]
+
+    def test_shared_runs_are_byte_identical_to_cold_runs(self):
+        for n in (1, 3, 5):
+            psi = random_state(n, 50 + n)
+            outcomes = [BitChain(2 * n, v % (1 << (2 * n))) for v in range(0, 32 * 37, 37)]
+            warm = [teleport(psi, force_outcome=bits) for bits in outcomes]
+            assert len({id(trace.pre_measurement_state) for trace in warm}) == 1
+            for trace, bits in zip(warm, outcomes):
+                cold = teleport(StateVector(n, psi.amplitudes), force_outcome=bits)
+                assert cold.pre_measurement_state is not trace.pre_measurement_state
+                assert (cold.outcome, cold.fidelity_to_input) == (
+                    trace.outcome, trace.fidelity_to_input
+                )
+                for field in ("bell_state", "pre_measurement_state", "bob_pre_correction",
+                              "bob_post_correction"):
+                    got, expected = getattr(trace, field), getattr(cold, field)
+                    assert got.amplitudes.tobytes() == expected.amplitudes.tobytes(), field
+
+    def test_the_memo_keeps_no_state_alive(self):
+        psi = random_state(3, 9)
+        trace = teleport(psi, force_outcome=BitChain(6, 5))
+        held = [weakref.ref(trace.pre_measurement_state), weakref.ref(trace.bell_state)]
+        del trace
+        gc.collect()
+        assert [ref() for ref in held] == [None, None]
+        payload = weakref.ref(psi)
+        del psi
+        gc.collect()
+        assert payload() is None
+
+    def test_a_lowered_capacity_raises_on_a_shared_run(self, monkeypatch):
+        # the held trace would let the second call reuse its gate run
+        n = 2
+        psi = random_state(n, 3)
+        trace = teleport(psi, force_outcome=BitChain(2 * n, 1))
+        monkeypatch.setenv(statevector_module.CAPACITY_ENV_VAR, str(3 * n - 1))
+        with pytest.raises(CapacityError):
+            teleport(psi, force_outcome=BitChain(2 * n, 2))
+        del trace
 
 
 class TestSchedule:

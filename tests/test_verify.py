@@ -390,6 +390,20 @@ class TestVerifyProtocol:
         failed = {s.name for s in report.stages_checked if s.max_deviation >= 1e-10}
         assert failed == {stage}
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_shared_gate_runs_do_not_change_the_report(self, monkeypatch, n):
+        # teleport shares one gate run among consecutive calls on one payload
+        # object; on a fresh copy of the payload every call runs cold
+        def cold_teleport(psi, **kwargs):
+            return teleport(StateVector(psi.n_qubits, psi.amplitudes), **kwargs)
+
+        for seed in (0, 1):
+            shared = report_to_json(verify_protocol(n, seed))
+            with monkeypatch.context() as patched:
+                patched.setattr(verify_module, "teleport", cold_teleport)
+                cold = report_to_json(verify_protocol(n, seed))
+            assert shared == cold
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             verify_protocol(0)
